@@ -52,31 +52,20 @@ def state_from_name(name: str):
         raise ValueError(f"unknown state name {name!r}") from None
 
 
-class Infinite:
-    """Singleton tag for an infinite surviving time."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinite)
-
-    def __hash__(self):
-        return hash("Infinite")
+def order_key(state):
+    """Deterministic state order: Id first, offsets by name, Exit last."""
+    return (0, "") if state == ID else (2, "") if state == EXIT else (1, state_name(state))
 
 
-INFINITE = Infinite()
+INFINITE = math.inf
 
 
 def is_infinite(t) -> bool:
-    return isinstance(t, Infinite)
+    return t == math.inf
+
+
+class AutomatonError(ValueError):
+    """Malformed automaton definition."""
 
 
 @dataclass(frozen=True)
@@ -88,21 +77,33 @@ class SigmaAutomaton:
     delta: dict = field(hash=False)
 
     def __post_init__(self):
-        assert ID in self.states and EXIT in self.states
+        N = self.alphabet_size
+        if ID not in self.states or EXIT not in self.states:
+            raise AutomatonError("the states must include Id and Exit")
         for (s, i, j), t in self.delta.items():
-            assert s != EXIT and s in self.states and t in self.states
-            assert 1 <= i <= self.alphabet_size and 1 <= j <= self.alphabet_size
-        for i in range(1, self.alphabet_size + 1):
-            for j in range(1, self.alphabet_size + 1):
-                got = self.delta.get((ID, i, j), EXIT)
-                assert (got == ID) == (i == j), (
-                    f"delta(Id,({i},{j})) must be Id exactly when i == j"
-                )
+            if s == EXIT or s not in self.states or t not in self.states:
+                raise AutomatonError(f"transition ({s}, {i}, {j}) -> {t} leaves the state set")
+            if not (1 <= i <= N and 1 <= j <= N):
+                raise AutomatonError(f"letter outside 1..{N} in transition ({s}, {i}, {j})")
+        for i in self.letters():
+            for j in self.letters():
+                if (self.step(ID, i, j) == ID) != (i == j):
+                    raise AutomatonError(f"delta(Id,({i},{j})) must be Id exactly when i == j")
 
     def step(self, state, i: int, j: int):
         if state == EXIT:
             return EXIT
         return self.delta.get((state, i, j), EXIT)
+
+    def successors(self) -> dict:
+        """(state, i) -> [(j, target)] over the targets that are not Exit, j ascending."""
+        index = {}
+        for (s, i, j), t in self.delta.items():
+            if t != EXIT:
+                index.setdefault((s, i), []).append((j, t))
+        for moves in index.values():
+            moves.sort(key=lambda move: move[0])
+        return index
 
     def letters(self):
         return range(1, self.alphabet_size + 1)
@@ -139,15 +140,11 @@ def build_topology_automaton(spec, oracle=None) -> SigmaAutomaton:
 def _pruned(N: int, delta: dict) -> SigmaAutomaton:
     """Keep only states reachable from Id."""
     reachable = {ID}
-    frontier = [ID]
-    while frontier:
-        s = frontier.pop()
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                t = delta.get((s, i, j), EXIT)
-                if t != EXIT and t not in reachable:
-                    reachable.add(t)
-                    frontier.append(t)
+    while True:
+        grown = reachable | {t for (s, _, _), t in delta.items() if s in reachable and t != EXIT}
+        if grown == reachable:
+            break
+        reachable = grown
     kept = {k: v for k, v in delta.items() if k[0] in reachable and v in reachable}
     return SigmaAutomaton(N, frozenset(reachable | {EXIT}), kept)
 
@@ -172,24 +169,22 @@ def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):
 
 
 def mirror_check(M: SigmaAutomaton) -> bool:
-    """delta(S,(i,j)) == -delta(-S,(j,i)) over the whole table."""
-    for s in M.states:
-        if s == EXIT:
-            continue
-        if neg(s) not in M.states:
-            return False
-        for i in M.letters():
-            for j in M.letters():
-                if M.step(s, i, j) != neg(M.step(neg(s), j, i)):
-                    return False
-    return True
+    """delta(S,(i,j)) == -delta(-S,(j,i)) over the whole table.
+
+    Once the states are closed under negation it suffices to check every
+    table entry against its mirror: a pair whose entry is missing on one
+    side (Exit) is caught from the entry present on the other side.
+    """
+    if any(neg(s) not in M.states for s in M.states):
+        return False
+    return all(M.step(neg(s), j, i) == neg(t) for (s, i, j), t in M.delta.items())
 
 
 def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     """Violations of min{T(x,y), T(x,z)} <= T(y,z) + t0 over the samples.
 
     Each (x, y, z) triple is checked in all three apex roles.  Infinite
-    plus t0 counts as infinite.
+    plus t0 is infinite, so an infinite right-hand side never fails.
     """
     violations = []
     cache = {}
@@ -202,21 +197,11 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
 
     for x, y, z in triples:
         for apex, u, v in ((x, y, z), (y, x, z), (z, x, y)):
-            lhs = _tmin(t(apex, u), t(apex, v))
+            lhs = min(t(apex, u), t(apex, v))
             rhs = t(u, v)
-            if is_infinite(rhs):
-                continue
-            if is_infinite(lhs) or lhs > rhs + t0:
+            if lhs > rhs + t0:
                 violations.append((apex, u, v, lhs, rhs))
     return violations
-
-
-def _tmin(a, b):
-    if is_infinite(a):
-        return b
-    if is_infinite(b):
-        return a
-    return min(a, b)
 
 
 def random_word(rng, N: int, max_pre: int = 3, max_per: int = 3) -> PeriodicWord:
@@ -227,9 +212,6 @@ def random_word(rng, N: int, max_pre: int = 3, max_per: int = 3) -> PeriodicWord
 
 def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
     """Graphviz rendering with deterministic node and edge order."""
-    def order_key(s):
-        return (0, "") if s == ID else (2, "") if s == EXIT else (1, state_name(s))
-
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
     for s in sorted(M.states, key=order_key):
         if s == EXIT and not include_exit:
@@ -249,9 +231,6 @@ def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
 
 def to_json(M: SigmaAutomaton) -> str:
     import json
-
-    def order_key(s):
-        return (0, "") if s == ID else (2, "") if s == EXIT else (1, state_name(s))
 
     states = [state_name(s) for s in sorted(M.states, key=order_key)]
     delta = {

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry
 from .geometry import IntersectionOracle, build_oracle
 
 
@@ -281,7 +280,3 @@ def profile(spec: CarpetSpec) -> HBlockProfile:
         per_row[b.row] += b.size
     assert all(per_row[row] == fiber[row] for row in range(spec.m))
     return HBlockProfile(sizes, tuple(sorted(pairs)), fiber)
-
-
-# re-export for convenience
-render_svg = geometry.render_svg

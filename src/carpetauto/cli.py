@@ -144,6 +144,9 @@ def cmd_equiv(args):
 def cmd_survive(args):
     M = _load_automaton(args.source)
     x, y = _parse_words([args.x, args.y])
+    for w in (x, y):
+        if not set(w.preperiod + w.period) <= set(M.letters()):
+            raise InputError(f"word {w} has letters outside 1..{M.alphabet_size}")
     t = surviving_time(M, x, y)
     xi = args.xi
     if xi is None:

@@ -9,9 +9,10 @@ at e2); the mirrored halves follow by transposition.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
-from .automaton import EXIT, ID, SigmaAutomaton, neg
+from .automaton import EXIT, ID, SigmaAutomaton, mirror_check
 from .words import PeriodicWord
 
 E1 = (1, 0)
@@ -148,49 +149,36 @@ def decide_triple_coding_free(C: CrossAutomaton):
     with a witness triple of eventually-constant words.
     """
     M = C.induced_automaton()
-    N = C.alphabet_size
+    succ = M.successors()
+    inputs = {}  # state -> the letters i it reads without exiting, ascending
+    for state, i in sorted(succ, key=lambda key: key[1]):
+        inputs.setdefault(state, []).append(i)
+
+    def moves(js):
+        """Inputs (i, j, k) keeping (x,y) and (x,z) alive, in lexicographic
+        order, each with the joint state it leads to."""
+        s1, s2, s3 = js
+        for i in inputs.get(s1, ()):
+            for j, t1 in succ[(s1, i)]:
+                for k, t2 in succ.get((s2, i), ()):
+                    yield (i, j, k), (t1, t2, M.step(s3, j, k))
+
     start = (ID, ID, ID)
     seen = {start: None}  # joint state -> (previous joint state, input triple)
-    frontier = [start]
-
-    def step3(js, i, j, k):
-        s1, s2, s3 = js
-        t1 = M.step(s1, i, j)
-        t2 = M.step(s2, i, k)
-        t3 = M.step(s3, j, k)
-        if t1 == EXIT or t2 == EXIT:
-            return None
-        return (t1, t2, t3)
-
+    frontier = deque([start])
     while frontier:
-        js = frontier.pop(0)
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                for k in range(1, N + 1):
-                    nxt = step3(js, i, j, k)
-                    if nxt is None or nxt in seen:
-                        continue
-                    seen[nxt] = (js, (i, j, k))
-                    s1, s2, s3 = nxt
-                    if s1 != ID and s2 != ID and s3 != ID:
-                        loop = _sustaining_input(M, nxt, N)
-                        if loop is not None:
-                            return False, _witness(seen, nxt, loop)
-                    frontier.append(nxt)
+        js = frontier.popleft()
+        for trip, nxt in moves(js):
+            if nxt in seen:
+                continue
+            seen[nxt] = (js, trip)
+            if ID not in nxt:
+                # a sustaining input keeps both shared-word components in place
+                loop = next((t for t, (u1, u2, _) in moves(nxt) if (u1, u2) == nxt[:2]), None)
+                if loop is not None:
+                    return False, _witness(seen, nxt, loop)
+            frontier.append(nxt)
     return True, None
-
-
-def _sustaining_input(M, js, N):
-    s1, s2, s3 = js
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                if (
-                    M.step(s1, i, j) == s1
-                    and M.step(s2, i, k) == s2
-                ):
-                    return (i, j, k)
-    return None
 
 
 def _witness(seen, js, loop):
@@ -291,21 +279,16 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
                 "Unclassified", top=gamma, bottom=lam,
                 reason=f"top vertex not isolated in {which}",
             )
-    M = C.induced_automaton()
-    for t1 in range(1, C.alphabet_size + 1):
-        if t1 == lam:
-            continue
-        for t2 in range(1, C.alphabet_size + 1):
-            if M.step(M.step(ID, lam, t1), lam, t2) != EXIT:
-                return Classification(
-                    "Unclassified", top=gamma, bottom=lam,
-                    reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
-                )
-            if M.step(M.step(ID, t1, lam), t2, lam) != EXIT:
-                return Classification(
-                    "Unclassified", top=gamma, bottom=lam,
-                    reason=f"({t1}{t2}, lam lam) does not exit in two steps",
-                )
+    # The induced automaton is mirror-symmetric, so the transposed pair
+    # (t1 t2, lam lam) survives exactly when (lam lam, t1 t2) does.
+    succ = C.induced_automaton().successors()
+    for t1, s1 in succ.get((ID, lam), ()):
+        if t1 != lam and (s1, lam) in succ:
+            t2 = succ[(s1, lam)][0][0]
+            return Classification(
+                "Unclassified", top=gamma, bottom=lam,
+                reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
+            )
     if relation_graph(C, "V").has_cycle():
         return Classification(
             "Unclassified", top=gamma, bottom=lam, reason="PV graph has a cycle"
@@ -327,12 +310,4 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
 
 def transpose_mirror_check(C: CrossAutomaton) -> bool:
     """The induced table is symmetric under state negation + transposition."""
-    M = C.induced_automaton()
-    for s in M.states:
-        if s == EXIT:
-            continue
-        for i in M.letters():
-            for j in M.letters():
-                if M.step(s, i, j) != neg(M.step(neg(s), j, i)):
-                    return False
-    return True
+    return mirror_check(C.induced_automaton())

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automaton import EXIT, ID, SigmaAutomaton
+from .automaton import EXIT, ID, SigmaAutomaton, order_key
 
 INF = np.int64(10**9)
 
 
 def _state_index(M: SigmaAutomaton):
-    from .automaton import state_name
-
-    states = sorted(M.states, key=lambda s: (s != ID, s == EXIT, state_name(s)))
+    states = sorted(M.states, key=order_key)
     return states, {s: k for k, s in enumerate(states)}
 
 
@@ -68,18 +66,20 @@ def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
     return T
 
 
-def check_feasibility_matrix(T: np.ndarray, t0: int = 1, chunk: int = 64) -> int:
+def check_feasibility_matrix(T: np.ndarray, t0: int = 1) -> int:
     """Count violations of min(T[x,y], T[x,z]) <= T[y,z] + t0 over all triples.
 
     INF + t0 compares as at least INF, so infinite right-hand sides never
     produce violations and infinite left-hand minima only fail against
-    finite right-hand sides, exactly as intended.
+    finite right-hand sides, exactly as intended.  Apex rows are taken in
+    blocks of at most about 4M cells, so memory stays bounded as W grows.
     """
     W = T.shape[0]
+    rows = max(1, 2**22 // W**2)
     rhs = T + np.int64(t0)
     bad = 0
-    for start in range(0, W, chunk):
-        block = T[start : start + chunk]
+    for start in range(0, W, rows):
+        block = T[start : start + rows]
         lhs = np.minimum(block[:, :, None], block[:, None, :])
         bad += int((lhs > rhs[None, :, :]).sum())
     return bad

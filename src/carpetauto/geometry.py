@@ -184,7 +184,8 @@ def _edge_coords(spec, side: str, depth: int):
     for _ in range(depth):
         if digits.size == 0:
             return np.array([], dtype=np.int64)
-        coords = np.unique((base * coords[:, None] + digits[None, :]).ravel())
+        # already sorted and unique: coords are, and the digits are sorted and < base
+        coords = (base * coords[:, None] + digits[None, :]).ravel()
     return coords
 
 

@@ -204,7 +204,7 @@ def test_criterion_02_cross_feasibility_nine_letter_example():
             (words[x], words[y], words[z])
             for x, y, z in feasibility_violations(T, t0=1)
         }
-        count = check_feasibility_matrix(T, t0=1, chunk=16)
+        count = check_feasibility_matrix(T, t0=1)
         family = e1_loop_family(C)
         if count != len(violating) or violating != family:
             problems.append(

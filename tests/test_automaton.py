@@ -6,6 +6,7 @@ from carpetauto.automaton import (
     EXIT,
     ID,
     INFINITE,
+    AutomatonError,
     SigmaAutomaton,
     build_topology_automaton,
     check_feasibility,
@@ -45,7 +46,7 @@ def test_infinite_is_a_singleton_tag():
 
 
 def test_identity_diagonal_is_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(AutomatonError):
         SigmaAutomaton(2, frozenset({ID, EXIT}), {(ID, 1, 1): ID, (ID, 1, 2): ID})
 
 
@@ -101,6 +102,20 @@ def test_surviving_time_matches_brute_force():
 def test_mirror_symmetry_of_carpet_automata():
     for spec in (SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11):
         assert mirror_check(build_topology_automaton(spec))
+
+
+def test_mirror_check_rejects_asymmetric_tables():
+    E1, NE1 = (1, 0), (-1, 0)
+    diagonal = {(ID, 1, 1): ID, (ID, 2, 2): ID}
+    axis = frozenset({ID, EXIT, E1, NE1})
+    symmetric = {**diagonal, (ID, 1, 2): E1, (ID, 2, 1): NE1}
+    assert mirror_check(SigmaAutomaton(2, axis, symmetric))
+    missing = {**diagonal, (ID, 1, 2): E1}
+    assert not mirror_check(SigmaAutomaton(2, axis, missing))
+    wrong_target = {**diagonal, (ID, 1, 2): E1, (ID, 2, 1): E1}
+    assert not mirror_check(SigmaAutomaton(2, axis, wrong_target))
+    no_negation = frozenset({ID, EXIT, E1})
+    assert not mirror_check(SigmaAutomaton(2, no_negation, diagonal))
 
 
 def test_surviving_time_is_symmetric():

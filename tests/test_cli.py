@@ -127,6 +127,26 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "missing.txt")]) == 3
 
 
+def test_survive_rejects_letters_outside_the_alphabet(carpet_file, capsys):
+    for word in ("(9)", "(0)", "1.6(2)"):
+        assert run(["survive", carpet_file, word, "(1)"]) == 3
+        assert "outside 1..5" in capsys.readouterr().err
+
+
+def test_malformed_automaton_is_rejected_under_optimize(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"N": 2, "states": ["Id"], "delta": {"Id|1,1": "Id", "Id|2,2": "Id", "Id|1,3": "Id"}}
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "carpetauto", "survive", str(path), "(1)", "(2)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "outside 1..2" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -116,20 +117,33 @@ def test_triple_coding_decision_matches_word_enumeration():
             for c in range(1, C.alphabet_size + 1)
         ]
         words = sorted(set(words), key=str)
+        infinite = {
+            (a, b): is_infinite(surviving_time(M, a, b))
+            for a, b in itertools.combinations(words, 2)
+        }
         for x, y, z in itertools.combinations(words, 3):
-            inf = sum(
-                1
-                for a, b in ((x, y), (x, z), (y, z))
-                if is_infinite(surviving_time(M, a, b))
-            )
+            inf = infinite[(x, y)] + infinite[(x, z)] + infinite[(y, z)]
             if inf >= 2:
                 return False
         return True
 
+    def random_cross(rng):
+        while True:
+            N = rng.randint(2, 4)
+            pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+            try:
+                return CrossAutomaton(N, *(set(rng.sample(pairs, rng.randint(0, N)))
+                                           for _ in range(4)))
+            except CrossAutomatonError:
+                continue
+
     small_free = CrossAutomaton(3, {(1, 2)}, set(), {(2, 1)}, set())
     small_coded = CrossAutomaton(3, {(1, 2), (2, 3)}, set(), {(2, 1)}, set())
-    for C in (small_free, small_coded):
-        assert decide_triple_coding_free(C)[0] == brute(C)
+    rng = random.Random(4)
+    samples = [small_free, small_coded] + [random_cross(rng) for _ in range(10)]
+    verdicts = [decide_triple_coding_free(C)[0] for C in samples]
+    assert verdicts == [brute(C) for C in samples]
+    assert True in verdicts[2:] and False in verdicts[2:]
 
 
 def test_relation_graph_properties():

@@ -85,10 +85,11 @@ class SigmaAutomaton:
                 raise AutomatonError(f"transition ({s}, {i}, {j}) -> {t} leaves the state set")
             if not (1 <= i <= N and 1 <= j <= N):
                 raise AutomatonError(f"letter outside 1..{N} in transition ({s}, {i}, {j})")
-        for i in self.letters():
-            for j in self.letters():
-                if (self.step(ID, i, j) == ID) != (i == j):
-                    raise AutomatonError(f"delta(Id,({i},{j})) must be Id exactly when i == j")
+        bad = [(i, j) for (s, i, j), t in self.delta.items() if s == ID and t == ID and i != j]
+        bad += [(i, i) for i in self.letters() if self.delta.get((ID, i, i)) != ID]
+        if bad:
+            i, j = min(bad)
+            raise AutomatonError(f"delta(Id,({i},{j})) must be Id exactly when i == j")
 
     def step(self, state, i: int, j: int):
         if state == EXIT:
@@ -115,26 +116,24 @@ def build_topology_automaton(spec, oracle=None) -> SigmaAutomaton:
     From state with vector s on input (i, j) the joint descent moves to
     v = (n*s_x + d_j1 - d_i1, m*s_y + d_j2 - d_i2): stay at Id when v is
     zero, move to the offset v when it is a surviving unit offset, and
-    exit otherwise.  States unreachable from Id are pruned.
+    exit otherwise.  So the transitions from s into a surviving v are
+    exactly the letter pairs whose digit difference is v - (n*s_x, m*s_y),
+    read from the digit difference index; the pairs of difference zero
+    are the Id self-loops.  States unreachable from Id are pruned.
     """
-    from .geometry import build_oracle
+    from .geometry import build_oracle, difference_index
 
+    index = difference_index(spec)
     if oracle is None:
-        oracle = build_oracle(spec.companion())
-    N = len(spec.digits)
-    delta = {}
-    sources = [ID] + [b for b in oracle.survivors if b != (0, 0)]
-    for s in sources:
+        oracle = build_oracle(spec.companion(), index)
+    delta = {(ID, i, j): ID for i, j in index[(0, 0)]}
+    targets = [v for v in oracle.survivors if v != (0, 0)]
+    for s in [ID] + targets:
         sx, sy = (0, 0) if s == ID else s
-        for i, di in enumerate(spec.digits, start=1):
-            for j, dj in enumerate(spec.digits, start=1):
-                v = (spec.n * sx + dj[0] - di[0], spec.m * sy + dj[1] - di[1])
-                if v == (0, 0):
-                    assert s == ID and i == j, "zero offset off the diagonal"
-                    delta[(s, i, j)] = ID
-                elif -1 <= v[0] <= 1 and -1 <= v[1] <= 1 and v in oracle.survivors:
-                    delta[(s, i, j)] = v
-    return _pruned(N, delta)
+        for v in targets:
+            for i, j in index.get((v[0] - spec.n * sx, v[1] - spec.m * sy), ()):
+                delta[(s, i, j)] = v
+    return _pruned(len(spec.digits), delta)
 
 
 def _pruned(N: int, delta: dict) -> SigmaAutomaton:
@@ -246,10 +245,17 @@ def from_json(text: str) -> SigmaAutomaton:
     import json
 
     data = json.loads(text)
-    states = frozenset(state_from_name(s) for s in data["states"]) | {ID, EXIT}
-    delta = {}
-    for key, target in data["delta"].items():
-        sname, pair = key.split("|")
-        i, j = (int(a) for a in pair.split(","))
-        delta[(state_from_name(sname), i, j)] = state_from_name(target)
-    return SigmaAutomaton(int(data["N"]), states, delta)
+    missing = [key for key in ("N", "states", "delta") if key not in data]
+    if missing:
+        raise AutomatonError(f"automaton JSON lacks the field {missing[0]!r}")
+    try:
+        N = int(data["N"])
+        states = frozenset(state_from_name(s) for s in data["states"]) | {ID, EXIT}
+        delta = {}
+        for key, target in data["delta"].items():
+            sname, pair = key.split("|")
+            i, j = (int(a) for a in pair.split(","))
+            delta[(state_from_name(sname), i, j)] = state_from_name(target)
+    except (AttributeError, TypeError) as e:
+        raise AutomatonError(f"malformed automaton JSON: {e}") from e
+    return SigmaAutomaton(N, states, delta)

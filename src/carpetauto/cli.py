@@ -9,6 +9,7 @@ failure, 2 usage error, 3 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -57,10 +58,10 @@ def _load_automaton(path: str):
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        if "delta" in data:
-            return automaton_mod.from_json(stripped)
-        if "PH" in data or "PV" in data:
+        if ("PH" in data or "PV" in data) and "delta" not in data:
             return cross_mod.cross_from_json(stripped).induced_automaton()
+        if "delta" in data or "N" in data:
+            return automaton_mod.from_json(stripped)
     try:
         return build_topology_automaton(parse_carpet(text))
     except CarpetError as e:
@@ -288,7 +289,13 @@ def _selftest_roundtrips() -> bool:
     return automaton_mod.from_json(automaton_mod.to_json(M)) == M
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later runs.
+
+    Nothing mutates it after it is built: each parse fills a fresh
+    namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="carpetauto",
         description="Topology automata of self-affine carpets",

@@ -32,12 +32,22 @@ def transition_table(M: SigmaAutomaton):
     return tab, index[ID], exit_idx
 
 
+MAX_LETTER = 255
+
+
 def stems_to_array(stems, tails, steps: int):
-    """Letter matrix, one row per word, padded with the word's tail letter."""
+    """Letter matrix, one row per word, padded with the word's tail letter.
+
+    Letters are stored as uint8, so they must lie in 0..MAX_LETTER (255);
+    any other letter raises ValueError.
+    """
     out = np.empty((len(stems), steps), dtype=np.uint8)
     for r, (stem, tail) in enumerate(zip(stems, tails)):
         row = list(stem[:steps])
         row.extend([tail] * (steps - len(row)))
+        if row and (min(row) < 0 or max(row) > MAX_LETTER):
+            bad = next(a for a in row if not 0 <= a <= MAX_LETTER)
+            raise ValueError(f"letter {bad} outside 0..{MAX_LETTER}: letters are stored as uint8")
         out[r] = row
     return out
 

@@ -10,6 +10,14 @@ question for offset b to the same question for the offset
 over digit pairs (d, d'); K ∩ (K + b) ≠ ∅ iff some such b' stays inside
 {-1,0,1}^2 and itself survives.  The survivors therefore form the
 greatest fixed point of this one-step filter on at most nine nodes.
+
+Only the difference d' - d of a digit pair matters, so `difference_index`
+groups the N^2 letter pairs by it once.  The successors of each of the
+nine offsets are then the in-box b' whose difference b' - (n*bx, m*by)
+occurs in the index: at most 81 lookups, computed once before the fixed
+point.  The topology automaton reads its transitions from the same
+index.  `offset_successors` and `chain_survivors` keep the direct loop
+over digit pairs as an independent reference.
 """
 
 from __future__ import annotations
@@ -23,6 +31,19 @@ if TYPE_CHECKING:
     from .words import PeriodicWord
 
 OFFSETS = tuple((bx, by) for by in (-1, 0, 1) for bx in (-1, 0, 1))
+
+
+def difference_index(spec) -> dict:
+    """(e1 - d1, e2 - d2) -> the letter pairs (i, j) with d = d_i, e = d_j.
+
+    Pairs are listed in (i, j) order.  Distinct digits make the pairs
+    stored under (0, 0) exactly the diagonal (i, i).
+    """
+    index = {}
+    for i, (d1, d2) in enumerate(spec.digits, start=1):
+        for j, (e1, e2) in enumerate(spec.digits, start=1):
+            index.setdefault((e1 - d1, e2 - d2), []).append((i, j))
+    return index
 
 
 def offset_successors(spec, b):
@@ -50,11 +71,22 @@ class IntersectionOracle:
         return tuple(b) in self.survivors
 
 
-def build_oracle(spec: "CarpetSpec") -> IntersectionOracle:
-    """Greatest fixed point of the offset filter; exact for the companion."""
+def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionOracle:
+    """Greatest fixed point of the offset filter; exact for the companion.
+
+    The successors of the nine offsets are read once from the digit
+    difference index (`index`, when the caller has built it already),
+    so each round of the fixed point is nine set intersections.
+    """
+    if index is None:
+        index = difference_index(spec)
+    successors = {
+        b: {v for v in OFFSETS if (v[0] - spec.n * b[0], v[1] - spec.m * b[1]) in index}
+        for b in OFFSETS
+    }
     alive = set(OFFSETS)
     while True:
-        kept = {b for b in alive if offset_successors(spec, b) & alive}
+        kept = {b for b in alive if successors[b] & alive}
         if kept == alive:
             break
         alive = kept

@@ -21,6 +21,8 @@ from carpetauto.automaton import (
     to_dot,
     to_json,
 )
+from carpetauto.carpet import CarpetError, CarpetSpec
+from carpetauto.geometry import chain_survivors
 from carpetauto.words import PeriodicWord, parse_word
 
 from conftest import SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11
@@ -153,3 +155,48 @@ def test_dot_output_is_deterministic():
     assert a.startswith("digraph")
     assert "Exit" not in a
     assert "Exit" in to_dot(M, include_exit=True)
+
+
+def reference_automaton(spec) -> SigmaAutomaton:
+    """The topology automaton by the direct loop over every digit pair
+    from every surviving offset, with survivors from `chain_survivors`
+    and its own reachability pruning, so it shares no code with
+    `build_topology_automaton`."""
+    survivors = chain_survivors(spec)
+    delta = {}
+    for s in [ID] + [b for b in survivors if b != (0, 0)]:
+        sx, sy = (0, 0) if s == ID else s
+        for i, di in enumerate(spec.digits, start=1):
+            for j, dj in enumerate(spec.digits, start=1):
+                v = (spec.n * sx + dj[0] - di[0], spec.m * sy + dj[1] - di[1])
+                if v == (0, 0):
+                    delta[(s, i, j)] = ID
+                elif v in survivors:
+                    delta[(s, i, j)] = v
+    reachable, frontier = {ID}, [ID]
+    while frontier:
+        src = frontier.pop()
+        for (s, _, _), t in delta.items():
+            if s == src and t not in reachable:
+                reachable.add(t)
+                frontier.append(t)
+    kept = {k: t for k, t in delta.items() if k[0] in reachable}
+    return SigmaAutomaton(len(spec.digits), frozenset(reachable | {EXIT}), kept)
+
+
+def test_topology_automaton_matches_reference_on_random_carpets():
+    rng = random.Random(20261018)
+    built = 0
+    while built < 200:
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        try:
+            spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(2, min(40, len(cells))))))
+        except CarpetError:
+            continue
+        built += 1
+        M, R = build_topology_automaton(spec), reference_automaton(spec)
+        assert M.delta == R.delta and M.states == R.states, spec
+        assert to_json(M) == to_json(R)
+        assert to_dot(M) == to_dot(R)
+        assert to_dot(M, include_exit=True) == to_dot(R, include_exit=True)

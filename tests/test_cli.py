@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from carpetauto.cli import run
+from carpetauto.cli import build_parser, run
 
 from conftest import EXTENDED_9, SQUARE_TOP_5, SQUARE_VSEP_5
 
@@ -145,6 +145,55 @@ def test_malformed_automaton_is_rejected_under_optimize(tmp_path):
     )
     assert proc.returncode == 3
     assert "outside 1..2" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_malformed_automaton_json_is_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"states": ["Id"], "delta": {"Id|1,1": "Id"}}))
+    assert run(["survive", str(path), "(1)", "(1)"]) == 3
+    assert "'N'" in capsys.readouterr().err
+    for data in (
+        {"N": None, "states": [], "delta": {}},
+        {"N": 2, "states": ["Id"], "delta": []},
+        {"N": 2, "states": [["Id"]], "delta": {}},
+    ):
+        path.write_text(json.dumps(data))
+        assert run(["survive", str(path), "(1)", "(1)"]) == 3
+        assert "malformed automaton JSON" in capsys.readouterr().err
+
+
+def test_json_with_n_goes_to_the_automaton_parser(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"N": 2}))
+    assert run(["automaton", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "'states'" in err and "'n'" not in err
+
+
+def test_one_parser_serves_many_calls(carpet_file, tmp_path, capsys):
+    build_parser.cache_clear()
+    assert run(["survive", carpet_file, "(1)", "(2)"]) == 0
+    fresh = capsys.readouterr().out
+    parser = build_parser()
+
+    assert run(["survive", carpet_file, "--xi", "0.3", "(1)", "(2)"]) == 0
+    assert out_json(capsys)["xi"] == 0.3
+    assert run(["survive", carpet_file, "(1)", "(2)"]) == 0
+    assert out_json(capsys)["xi"] == pytest.approx(1 / 3)
+
+    dot = tmp_path / "m.dot"
+    assert run(["automaton", carpet_file, "--format", "dot", "--out", str(dot)]) == 0
+    assert dot.read_text().startswith("digraph")
+    assert run(["automaton", carpet_file]) == 0
+    assert out_json(capsys)["N"] == 5
+
+    with pytest.raises(SystemExit) as exc:
+        run(["survive", carpet_file, "(1)"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["survive", carpet_file, "(1)", "(2)"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert build_parser() is parser
 
 
 def test_usage_error_exit_code():

@@ -63,6 +63,22 @@ def test_oracle_matches_chain_enumeration_and_rasterization():
                 assert oracle.intersects(b) == raster_overlap(spec, b), (spec, b)
 
 
+def test_oracle_matches_chain_enumeration_up_to_8x8():
+    # a depth-9 raster of an 8x8 carpet is too large, so only the chain
+    # enumeration, which loops over digit pairs directly, is compared
+    rng = random.Random(8)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        m = rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        survivors = build_oracle(spec).survivors
+        assert survivors == chain_survivors(spec), spec
+        sizes.add(len(survivors))
+    assert sizes == {1, 3, 5, 7, 9}  # every odd survivor count occurs
+
+
 def test_project_exact_corner():
     spec = SQUARE_TOP_5
     # the word staying in the bottom-left cell projects to the origin

@@ -53,19 +53,24 @@ def _load_carpet(path: str) -> CarpetSpec:
 
 
 def _load_automaton(path: str):
-    """Sigma automaton from a sigma/cross/carpet description."""
+    """(sigma automaton, carpet) from a sigma/cross/carpet description.
+
+    The carpet is the parsed CarpetSpec when the source is a carpet, and
+    None when it is a sigma or cross automaton.
+    """
     text = _read(path)
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
         if ("PH" in data or "PV" in data) and "delta" not in data:
-            return cross_mod.cross_from_json(stripped).induced_automaton()
+            return cross_mod.cross_from_json(stripped).induced_automaton(), None
         if "delta" in data or "N" in data:
-            return automaton_mod.from_json(stripped)
+            return automaton_mod.from_json(stripped), None
     try:
-        return build_topology_automaton(parse_carpet(text))
+        spec = parse_carpet(text)
     except CarpetError as e:
         raise InputError(str(e)) from e
+    return build_topology_automaton(spec), spec
 
 
 def _parse_words(args_words):
@@ -110,7 +115,7 @@ def cmd_analyze(args):
 
 
 def cmd_automaton(args):
-    M = _load_automaton(args.source)
+    M, _ = _load_automaton(args.source)
     if args.format == "dot":
         _emit(automaton_mod.to_dot(M), args.out)
     else:
@@ -143,7 +148,7 @@ def cmd_equiv(args):
 
 
 def cmd_survive(args):
-    M = _load_automaton(args.source)
+    M, spec = _load_automaton(args.source)
     x, y = _parse_words([args.x, args.y])
     for w in (x, y):
         if not set(w.preperiod + w.period) <= set(M.letters()):
@@ -151,14 +156,7 @@ def cmd_survive(args):
     t = surviving_time(M, x, y)
     xi = args.xi
     if xi is None:
-        text = _read(args.source).strip()
-        if not text.startswith("{") or "digits" in text:
-            try:
-                xi = holder_scale(parse_carpet(text)).xi
-            except CarpetError:
-                xi = 0.5
-        else:
-            xi = 0.5
+        xi = holder_scale(spec).xi if spec is not None else 0.5
     dist = rho(M, xi, x, y)
     _emit(
         json.dumps(

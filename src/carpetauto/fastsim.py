@@ -58,21 +58,29 @@ def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
     Once both inputs are constant the itinerary revisits a state within
     |states| steps, so simulating max stem length + |states| + 1 steps
     decides every pair; survivors at the horizon are infinite (INF).
+
+    The simulation stops early at the first step k >= max stem length at
+    which no pair's state changes.  From step k on every pair reads the
+    same constant letter pair again, so the state matrix stays fixed and
+    every pair still alive survives to the horizon: stopping there gives
+    the same matrix.  Exit absorbs, so T counts the steps a pair was alive.
     """
     if extra is None:
         extra = len(M.states) + 1
-    steps = max((len(s) for s in stems), default=0) + extra
+    stem_len = max((len(s) for s in stems), default=0)
+    steps = stem_len + extra
     tab, id_idx, exit_idx = transition_table(M)
     X = stems_to_array(stems, tails, steps)
     W = len(stems)
     state = np.full((W, W), id_idx, dtype=np.uint8)
     T = np.zeros((W, W), dtype=np.int64)
-    alive = np.ones((W, W), dtype=bool)
     for k in range(steps):
-        state = tab[state, X[:, k][:, None], X[None, :, k]]
-        alive &= state != exit_idx
-        T[alive] = k + 1
-    T[alive] = INF
+        nxt = tab[state, X[:, k][:, None], X[None, :, k]]
+        if k >= stem_len and np.array_equal(nxt, state):
+            break
+        state = nxt
+        T += state != exit_idx
+    T[state != exit_idx] = INF
     return T
 
 

@@ -1,4 +1,4 @@
-"""Exact intersection oracle and numeric projection for carpet attractors.
+"""Exact intersection oracle and exact projection for carpet attractors.
 
 The oracle decides, for the companion attractor K (uniform ratios 1/n,
 1/m over the same digit set), which of the nine offsets b in {-1,0,1}^2
@@ -18,10 +18,16 @@ occurs in the index: at most 81 lookups, computed once before the fixed
 point.  The topology automaton reads its transitions from the same
 index.  `offset_successors` and `chain_survivors` keep the direct loop
 over digit pairs as an independent reference.
+
+`project` maps a word to the corner of its depth-k cylinder.  The value
+is exact: it is computed in integers scaled by the lcm of each axis's
+ratio denominators, and returned as one Fraction per coordinate.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -115,25 +121,39 @@ def chain_survivors(spec, depth: int = 9) -> frozenset:
 def project(spec: "CarpetSpec", word: "PeriodicWord", depth: int):
     """Approximate π(word) by the corner of the depth-k cylinder.
 
-    Returns ((x, y), err) with exact rational coordinates and a float
-    error bound of (max ratio)^depth per coordinate.
+    Returns ((x, y), err): the exact rational corner and a float error
+    bound of (max ratio)^depth per coordinate.  The corner is computed in
+    scaled integers.  With D the lcm of an axis's ratio denominators, the
+    cell widths a = r*D and left edges b = left*D are integers, and folding
+    S <- S*D + W*b[d], W <- W*a[d] over the first `depth` letters gives the
+    coordinate S / D^depth, the same rational as the sum of products.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    hr = spec.horizontal_ratios()
-    vr = spec.vertical_ratios()
-    hleft = _cumulative(hr)
-    vleft = _cumulative(vr)
-    px = py = Fraction(0)
-    wx = wy = Fraction(1)
-    for k in range(1, depth + 1):
-        d1, d2 = spec.digits[word.letter(k) - 1]
-        px += wx * hleft[d1]
-        py += wy * vleft[d2]
-        wx *= hr[d1]
-        wy *= vr[d2]
-    rstar = max(max(hr), max(vr))
-    return (px, py), float(rstar) ** depth
+    N = len(spec.digits)
+    letters = word.preperiod + word.period
+    if min(letters) < 1 or max(letters) > N:
+        raise ValueError(f"word {word} has letters outside the alphabet 1..{N}")
+    dx, ax, bx, fx = _scaled(spec.horizontal_ratios())
+    dy, ay, by, fy = _scaled(spec.vertical_ratios())
+    sx = sy = 0
+    wx = wy = 1
+    for letter in word.prefix(depth):
+        d1, d2 = spec.digits[letter - 1]
+        sx = sx * dx + wx * bx[d1]
+        sy = sy * dy + wy * by[d2]
+        wx *= ax[d1]
+        wy *= ay[d2]
+    return (Fraction(sx, dx**depth), Fraction(sy, dy**depth)), max(fx, fy) ** depth
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled(ratios):
+    """(D, widths*D, left edges*D, float(max ratio)) for one axis's ratios."""
+    D = math.lcm(*(r.denominator for r in ratios))
+    widths = tuple(int(r * D) for r in ratios)
+    lefts = tuple(int(x * D) for x in _cumulative(ratios))
+    return D, widths, lefts, float(max(ratios))
 
 
 def _cumulative(ratios):

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -96,6 +97,13 @@ def test_survive_default_xi_from_carpet(carpet_file, capsys):
     assert run(["survive", carpet_file, "(1)", "(2)"]) == 0
     data = out_json(capsys)
     assert data["xi"] == pytest.approx(1 / 3)
+
+
+def test_survive_reads_stdin_once_and_takes_xi_from_its_carpet(monkeypatch, capsys):
+    # the source is parsed once: a second read of stdin would find it empty
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SQUARE_TOP_5.to_grid()))
+    assert run(["survive", "-", "(1)", "(2)"]) == 0
+    assert out_json(capsys)["xi"] == pytest.approx(1 / 3)
 
 
 def test_survive_explicit_xi(cross_file, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from carpetauto.automaton import random_word
 from carpetauto.carpet import CarpetSpec
 from carpetauto.geometry import (
     OFFSETS,
@@ -97,6 +98,63 @@ def test_project_uses_exact_ratios():
     (px, py), _ = project(spec, PeriodicWord.constant(2), depth=1)
     assert px == Fraction(1, 3)
     assert py == Fraction(1, 2)
+
+
+def project_reference(spec, word, depth):
+    """The sum of products in Fractions, as `project` computed it before."""
+    hr = spec.horizontal_ratios()
+    vr = spec.vertical_ratios()
+    hleft = [sum(hr[:k], Fraction(0)) for k in range(len(hr))]
+    vleft = [sum(vr[:k], Fraction(0)) for k in range(len(vr))]
+    px = py = Fraction(0)
+    wx = wy = Fraction(1)
+    for k in range(1, depth + 1):
+        d1, d2 = spec.digits[word.letter(k) - 1]
+        px += wx * hleft[d1]
+        py += wy * vleft[d2]
+        wx *= hr[d1]
+        wy *= vr[d2]
+    rstar = max(max(hr), max(vr))
+    return (px, py), float(rstar) ** depth
+
+
+def random_ratios(rng, count):
+    """`count` positive Fractions summing to 1, over mixed denominators."""
+    parts = [Fraction(rng.randint(1, 9), rng.choice((2, 3, 5, 7, 11))) for _ in range(count)]
+    total = sum(parts)
+    return tuple(r / total for r in parts)
+
+
+def test_project_matches_the_fraction_reference():
+    rng = random.Random(11)
+    ratio_bearing = 0
+    for trial in range(40):
+        n = rng.randint(2, 8)
+        m = rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        digits = tuple(rng.sample(cells, rng.randint(1, len(cells))))
+        if trial % 2:
+            while True:
+                hr, vr = random_ratios(rng, n), random_ratios(rng, m)
+                if len({r.denominator for r in hr + vr}) > 1:
+                    break
+            spec = CarpetSpec(n, m, digits, hratios=hr, vratios=vr)
+            ratio_bearing += 1
+        else:
+            spec = CarpetSpec(n, m, digits)
+        for _ in range(5):
+            word = random_word(rng, len(spec.digits), max_pre=3, max_per=3)
+            for depth in (1, rng.randint(2, 59), 60):
+                assert project(spec, word, depth) == project_reference(spec, word, depth), (
+                    spec, word, depth)
+    assert ratio_bearing == 20
+
+
+def test_project_rejects_letters_outside_the_alphabet():
+    spec = CarpetSpec(3, 3, ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2)))  # #.#/.#./#.#
+    for word in (PeriodicWord.constant(0), PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
+        with pytest.raises(ValueError, match=r"outside the alphabet 1\.\.5"):
+            project(spec, word, 4)
 
 
 def test_cylinder_rects_partition_measure():

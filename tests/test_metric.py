@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -70,6 +72,21 @@ def test_projection_upper_bound_on_fixtures():
         assert report.violations == 0
         assert all(r.upper_ok for r in report.records)
         assert report.fitted_lower_c is None or report.fitted_lower_c > 0
+
+
+def test_projection_reports_on_fixtures_are_pinned():
+    # recorded while `project` still summed Fraction products, before it
+    # computed in scaled integers: every record must be bit-identical
+    rng = random.Random(29)
+    reports = []
+    for spec in PROJECTION_CARPETS:
+        M = build_topology_automaton(spec)
+        N = len(spec.digits)
+        pairs = [(random_word(rng, N), random_word(rng, N)) for _ in range(40)]
+        pairs.append((PeriodicWord.constant(1), PeriodicWord.constant(N)))
+        reports.append(check_projection_bounds(spec, M, pairs).to_dict())
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "947a2a8dd0eeaf8cd1153a105c20e72f7dbbaa438cdf7161f8671a0b6c2cf37f"
 
 
 def test_projection_zero_distance_pairs_coincide():

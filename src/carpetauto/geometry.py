@@ -104,18 +104,15 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
 def chain_survivors(spec, depth: int = 9) -> frozenset:
     """Independent brute force: b survives iff a length-`depth` chain of
     digit-pair steps stays inside the box.  With at most nine offsets, a
-    length-9 chain necessarily revisits a node, so depth 9 is exact."""
-    memo = {}
+    length-9 chain necessarily revisits a node, so depth 9 is exact.
 
-    def alive(b, k):
-        if k == 0:
-            return True
-        key = (b, k)
-        if key not in memo:
-            memo[key] = any(alive(v, k - 1) for v in offset_successors(spec, b))
-        return memo[key]
-
-    return frozenset(b for b in OFFSETS if alive(b, depth))
+    After round k, `alive` holds the offsets that start a chain of length k.
+    """
+    succ = {b: offset_successors(spec, b) for b in OFFSETS}
+    alive = set(OFFSETS)
+    for _ in range(depth):
+        alive = {b for b in OFFSETS if succ[b] & alive}
+    return frozenset(alive)
 
 
 def project(spec: "CarpetSpec", word: "PeriodicWord", depth: int):

@@ -29,8 +29,12 @@ class HolderScale:
     xi: float
 
     def __post_init__(self):
-        assert 0 < self.r_sub <= self.r_star < 1
-        assert 0 < self.s <= 1 + 1e-12
+        if not 0 < self.r_sub <= self.r_star < 1:
+            raise ValueError(
+                f"ratios must satisfy 0 < r_sub <= r_star < 1, got {self.r_sub} and {self.r_star}"
+            )
+        if not 0 < self.s <= 1 + 1e-12:
+            raise ValueError(f"exponent s must lie in (0, 1], got {self.s}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,13 @@ from carpetauto.automaton import (
     surviving_time,
 )
 from carpetauto.carpet import CarpetSpec
-from carpetauto.fastsim import INF, MAX_LETTER, stems_to_array, time_matrix
+from carpetauto.fastsim import (
+    INF,
+    MAX_LETTER,
+    check_feasibility_matrix,
+    stems_to_array,
+    time_matrix,
+)
 from carpetauto.words import PeriodicWord
 
 
@@ -21,6 +27,25 @@ def test_letters_outside_uint8_are_rejected():
     assert X.tolist() == [[1, 2, 3], [MAX_LETTER] * 3]
     for stems, tails in (([(1, 256)], [3]), ([(1,)], [300]), ([()], [-1])):
         with pytest.raises(ValueError, match="outside 0..255"):
+            stems_to_array(stems, tails, 3)
+
+
+def test_stems_to_array_cuts_stems_longer_than_steps():
+    X = stems_to_array([(1, 2, 3, 4), (5,), ()], [6, 7, 8], 2)
+    assert X.dtype == np.uint8
+    assert X.tolist() == [[1, 2], [5, 7], [8, 8]]
+    # letters cut off, and tails of rows without padding, are never read
+    X = stems_to_array([(1, 2, 300), (3, 4)], [-1, 2**70], 2)
+    assert X.tolist() == [[1, 2], [3, 4]]
+    assert stems_to_array([(1, 2)], [3], 0).shape == (1, 0)
+    # the first bad letter in row order is named, also beyond int64
+    for stems, tails, bad in (
+        ([(1, 2), (300, -4)], [3, 3], "300"),
+        ([(1,), (2,)], [999, -1], "999"),
+        ([(1,), (2, 2**70)], [3, 3], str(2**70)),
+        ([(1,), (2,)], [3, 2**80], str(2**80)),
+    ):
+        with pytest.raises(ValueError, match=f"letter {bad} outside"):
             stems_to_array(stems, tails, 3)
 
 
@@ -96,3 +121,94 @@ def test_time_matrix_of_an_empty_pool_and_of_zero_steps():
     T = time_matrix(M, [(), (), ()], [1, 2, 5], extra=0)
     assert T.dtype == np.int64
     assert np.array_equal(T, np.full((3, 3), INF))
+
+
+def dense_time_matrix(M, stems, tails, extra=None):
+    """Reference: every one of the W x W pairs advances one letter a step
+    through the whole horizon, and the survivors at the horizon are INF."""
+    if extra is None:
+        extra = len(M.states) + 1
+    steps = max((len(s) for s in stems), default=0) + extra
+    states = sorted(M.states, key=repr)
+    index = {s: k for k, s in enumerate(states)}
+    gone = index[EXIT]
+    tab = np.full((len(states), M.alphabet_size + 1, M.alphabet_size + 1), gone)
+    for (s, i, j), t in M.delta.items():
+        tab[index[s], i, j] = index[t]
+    tab[gone] = gone
+    W = len(stems)
+    X = np.array([list(s) + [c] * (steps - len(s)) for s, c in zip(stems, tails)])
+    X = X.reshape(W, steps)
+    state = np.full((W, W), index[ID])
+    T = np.zeros((W, W), dtype=np.int64)
+    for k in range(steps):
+        state = tab[state, X[:, k][:, None], X[None, :, k]]
+        T += state != gone
+    T[state != gone] = INF
+    return T
+
+
+def random_topology_automaton(rng, size):
+    n = rng.randint(2, size)
+    m = rng.randint(2, size)
+    cells = [(a, b) for a in range(n) for b in range(m)]
+    spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(2, len(cells)))))
+    return build_topology_automaton(spec)
+
+
+def test_time_matrix_matches_the_dense_stepping_loop():
+    rng = random.Random(2023)
+    for trial in range(24):
+        M = random_topology_automaton(rng, 6)
+        N = M.alphabet_size
+        longest = rng.randint(0, 6)
+        stems = [
+            tuple(rng.randint(1, N) for _ in range(rng.randint(0, longest)))
+            for _ in range(rng.randint(0, 120))
+        ]
+        if trial % 3 == 1:  # a shared prefix: steps 1 and 2 change no state
+            stems = [(2, 2) + s for s in stems]
+        tails = [rng.randint(1, N) for _ in stems]
+        for extra in (None, 0, 1, 3):
+            T = time_matrix(M, stems, tails, extra)
+            assert T.dtype == np.int64
+            assert np.array_equal(T, dense_time_matrix(M, stems, tails, extra)), (trial, extra)
+
+
+def test_time_matrix_of_a_pool_wider_than_one_band():
+    # 700 words: the rows are simulated in two bands
+    rng = random.Random(5)
+    M = random_topology_automaton(rng, 4)
+    N = M.alphabet_size
+    stems = [tuple(rng.randint(1, N) for _ in range(rng.randint(0, 4))) for _ in range(700)]
+    tails = [rng.randint(1, N) for _ in stems]
+    assert np.array_equal(time_matrix(M, stems, tails), dense_time_matrix(M, stems, tails))
+
+
+def triple_loop_violations(T, t0):
+    """Reference: count the triples with min(T[x,y], T[x,z]) > T[y,z] + t0."""
+    T = T.tolist()
+    W = len(T)
+    return sum(
+        min(T[x][y], T[x][z]) > T[y][z] + t0
+        for x in range(W)
+        for y in range(W)
+        for z in range(W)
+    )
+
+
+def test_check_feasibility_matrix_matches_a_triple_loop():
+    rng = np.random.default_rng(17)
+    for W in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+        for symmetric in (False, True):
+            T = rng.integers(-2, 7, size=(W, W), dtype=np.int64)
+            T[rng.random((W, W)) < 0.2] = INF
+            if symmetric:
+                T = np.minimum(T, T.T)
+            for t0 in (-1, 0, 1, 2):
+                expected = triple_loop_violations(T, t0)
+                assert check_feasibility_matrix(T, t0) == expected, (W, symmetric, t0)
+
+
+def test_check_feasibility_matrix_of_an_empty_matrix():
+    assert check_feasibility_matrix(np.zeros((0, 0), dtype=np.int64)) == 0

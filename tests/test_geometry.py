@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -78,6 +79,18 @@ def test_oracle_matches_chain_enumeration_up_to_8x8():
         assert survivors == chain_survivors(spec), spec
         sizes.add(len(survivors))
     assert sizes == {1, 3, 5, 7, 9}  # every odd survivor count occurs
+
+
+def test_chain_survivors_leaves_no_garbage():
+    spec = CarpetSpec(3, 3, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        survivors = chain_survivors(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert survivors == build_oracle(spec).survivors
 
 
 def test_project_exact_corner():

@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from carpetauto.automaton import build_topology_automaton, is_infinite, random_word
 from carpetauto.metric import (
+    HolderScale,
     check_projection_bounds,
     holder_scale,
     quotient_classes,
@@ -23,6 +26,24 @@ def test_holder_scale_of_uniform_carpet():
     assert scale.r_star == scale.r_sub == Fraction(1, 3)
     assert scale.s == 1.0
     assert scale.xi == pytest.approx(1 / 3)
+
+
+def test_holder_scale_rejects_bad_inputs_also_under_optimize():
+    with pytest.raises(ValueError, match="r_sub <= r_star"):
+        HolderScale(Fraction(1, 2), Fraction(3, 4), 1.0, 0.5)
+    with pytest.raises(ValueError, match="exponent s"):
+        HolderScale(Fraction(1, 2), Fraction(1, 3), 1.5, 0.5)
+    code = (
+        "from fractions import Fraction\n"
+        "from carpetauto.metric import HolderScale\n"
+        "try:\n"
+        "    HolderScale(Fraction(1, 2), Fraction(3, 4), 1.0, 0.5)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_holder_scale_of_ratio_carpet():

@@ -106,7 +106,6 @@ def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
     if not W or not steps:  # no pair, or no step taken: every pair is alive
         return np.full((W, W), INF, dtype=np.int64)
     T = np.empty((W, W), dtype=np.int64)
-    Tflat = T.reshape(-1)
     # A state s is held as its offset s*L*L into the flattened table, so
     # one take reads tab[s, i, j] at s*L*L + i*L + j.
     L = tab.shape[1]
@@ -130,7 +129,7 @@ def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
                 break
             gone = nxt == gone_at
             if gone.any():
-                Tflat[rows[gone] * W + cols[gone]] = k
+                T[rows[gone], cols[gone]] = k
                 keep = ~gone
                 rows, cols, nxt = rows[keep], cols[keep], nxt[keep]
                 if not rows.size:

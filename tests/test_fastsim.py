@@ -15,6 +15,7 @@ from carpetauto.carpet import CarpetSpec
 from carpetauto.fastsim import (
     INF,
     MAX_LETTER,
+    PAIR_BLOCK,
     check_feasibility_matrix,
     stems_to_array,
     time_matrix,
@@ -176,11 +177,11 @@ def test_time_matrix_matches_the_dense_stepping_loop():
 
 
 def test_time_matrix_of_a_pool_wider_than_one_band():
-    # 700 words: the rows are simulated in two bands
     rng = random.Random(5)
     M = random_topology_automaton(rng, 4)
     N = M.alphabet_size
     stems = [tuple(rng.randint(1, N) for _ in range(rng.randint(0, 4))) for _ in range(700)]
+    assert len(stems) ** 2 > PAIR_BLOCK
     tails = [rng.randint(1, N) for _ in stems]
     assert np.array_equal(time_matrix(M, stems, tails), dense_time_matrix(M, stems, tails))
 

@@ -50,12 +50,12 @@ SQ_TISO = CarpetSpec(3, 3, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 2)))
 
 
 def report(name, spec):
-    rep = check_conditions(spec)
+    M = build_topology_automaton(spec)
+    rep = check_conditions(spec, M)
     prof = profile(spec)
     print(f"{name}: digits={spec.digits}")
     print(f"  conditions: {rep.to_dict()}")
     print(f"  profile: {prof.to_dict()}")
-    M = build_topology_automaton(spec)
     C = from_topology_automaton(M)
     validate(C)
     cls = classify(C, origin=spec)
@@ -80,12 +80,13 @@ def search_top_isolated(max_n=4, max_m=4, max_digits=5, want=20):
                     for rest in itertools.combinations(cells, count):
                         digits = rest + (top,)
                         spec = CarpetSpec(n, m, digits)
-                        rep = check_conditions(spec)
+                        M = build_topology_automaton(spec)
+                        rep = check_conditions(spec, M)
                         if not (rep.cross_intersection and rep.top_isolated
                                 and not rep.vertical_separation):
                             continue
                         try:
-                            C = from_topology_automaton(build_topology_automaton(spec))
+                            C = from_topology_automaton(M)
                         except DiagonalStatePresent:
                             continue
                         cls = classify(C, origin=spec)

@@ -68,6 +68,14 @@ class AutomatonError(ValueError):
     """Malformed automaton definition."""
 
 
+def json_int(value) -> int:
+    """A size read from JSON: an integer, not a float or a boolean, which
+    int() would truncate or read as 0 and 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SigmaAutomaton:
     """Deterministic automaton over the pair alphabet of {1..N}."""
@@ -249,7 +257,7 @@ def from_json(text: str) -> SigmaAutomaton:
     if missing:
         raise AutomatonError(f"automaton JSON lacks the field {missing[0]!r}")
     try:
-        N = int(data["N"])
+        N = json_int(data["N"])
         states = frozenset(state_from_name(s) for s in data["states"]) | {ID, EXIT}
         delta = {}
         for key, target in data["delta"].items():

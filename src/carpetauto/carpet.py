@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import IntersectionOracle, build_oracle
+from .automaton import EXIT, ID, SigmaAutomaton, build_topology_automaton, json_int
+from .errors import InternalError
 
 
 class CarpetError(ValueError):
@@ -82,13 +83,16 @@ class CarpetSpec:
     def companion(self) -> "CarpetSpec":
         return CarpetSpec(self.n, self.m, self.digits)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         data = {"n": self.n, "m": self.m, "digits": [list(d) for d in self.digits]}
         if self.hratios is not None:
             data["hratios"] = [f"{r.numerator}/{r.denominator}" for r in self.hratios]
         if self.vratios is not None:
             data["vratios"] = [f"{r.numerator}/{r.denominator}" for r in self.vratios]
-        return json.dumps(data)
+        return data
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def to_grid(self) -> str:
         """ASCII grid, top row first.  Only valid for uniform carpets."""
@@ -114,15 +118,26 @@ def _parse_json(text: str) -> CarpetSpec:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CarpetError(f"invalid JSON: {e}") from e
+    n = _field(data, "n", json_int)
+    m = _field(data, "m", json_int)
+    digits = _field(data, "digits", lambda ds: tuple((int(d[0]), int(d[1])) for d in ds))
+    hratios = _field(data, "hratios", _ratios) if "hratios" in data else None
+    vratios = _field(data, "vratios", _ratios) if "vratios" in data else None
+    return CarpetSpec(n, m, digits, hratios, vratios)
+
+
+def _ratios(values) -> tuple[Fraction, ...]:
+    return tuple(Fraction(r) for r in values)
+
+
+def _field(data: dict, name: str, parse):
+    """parse(data[name]), with a CarpetError naming the field on failure."""
+    if name not in data:
+        raise CarpetError(f"carpet JSON lacks the field {name!r}")
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        digits = [(int(d[0]), int(d[1])) for d in data["digits"]]
-    except (KeyError, TypeError, IndexError) as e:
-        raise CarpetError(f"missing or malformed field: {e}") from e
-    hratios = tuple(Fraction(r) for r in data["hratios"]) if "hratios" in data else None
-    vratios = tuple(Fraction(r) for r in data["vratios"]) if "vratios" in data else None
-    return CarpetSpec(n, m, tuple(digits), hratios, vratios)
+        return parse(data[name])
+    except (TypeError, ValueError, IndexError, ArithmeticError) as e:
+        raise CarpetError(f"malformed carpet JSON field {name!r}: {e}") from e
 
 
 def _parse_grid(text: str) -> CarpetSpec:
@@ -148,26 +163,6 @@ def digit_letter(spec: CarpetSpec, digit) -> int:
     return spec.digits.index(tuple(digit)) + 1
 
 
-def cylinder_adjacency(spec: CarpetSpec, oracle: IntersectionOracle | None = None):
-    """Unordered letter pairs {i, j} whose first-order cylinders intersect.
-
-    K_i ∩ K_j = φ_i(K ∩ (K + d_j - d_i)) up to affine scaling, so the
-    pair is adjacent iff the digit offset is a nonzero unit offset that
-    the oracle affirms.
-    """
-    if oracle is None:
-        oracle = build_oracle(spec.companion())
-    pairs = set()
-    for i, di in enumerate(spec.digits, start=1):
-        for j, dj in enumerate(spec.digits, start=1):
-            if j <= i:
-                continue
-            off = (dj[0] - di[0], dj[1] - di[1])
-            if -1 <= off[0] <= 1 and -1 <= off[1] <= 1 and oracle.intersects(off):
-                pairs.add(frozenset((i, j)))
-    return pairs
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     cross_intersection: bool
@@ -184,30 +179,22 @@ class ConditionReport:
         }
 
 
-def check_conditions(spec: CarpetSpec, oracle: IntersectionOracle | None = None) -> ConditionReport:
-    """Evaluate the three separation conditions on the companion carpet."""
-    if oracle is None:
-        oracle = build_oracle(spec.companion())
-    adjacency = cylinder_adjacency(spec, oracle)
-    cross = True
-    vertical = True
-    for pair in adjacency:
-        i, j = sorted(pair)
-        di, dj = spec.digits[i - 1], spec.digits[j - 1]
-        off = (dj[0] - di[0], dj[1] - di[1])
-        if off[0] != 0 and off[1] != 0:
-            cross = False
-        if off[1] != 0:
-            vertical = False
-    top_digits = [i for i, d in enumerate(spec.digits, start=1) if d[1] == spec.m - 1]
-    top_letter = None
-    top_isolated = False
-    if len(top_digits) == 1:
-        cand = top_digits[0]
-        if not any(cand in pair for pair in adjacency):
-            top_isolated = True
-            top_letter = cand
-    return ConditionReport(cross, vertical, top_isolated, top_letter)
+def check_conditions(spec: CarpetSpec, M: SigmaAutomaton | None = None) -> ConditionReport:
+    """Evaluate the three separation conditions on the companion carpet.
+
+    The first-order cylinders K_i and K_j touch exactly when the
+    topology automaton ``M`` of the carpet (built when None) moves from
+    Id on (i, j) to an offset state, and that state is the digit offset
+    d_j - d_i: K_i ∩ K_j = φ_i(K ∩ (K + d_j - d_i)) up to affine scaling.
+    """
+    if M is None:
+        M = build_topology_automaton(spec)
+    touching = [(i, j, t) for (s, i, j), t in M.delta.items() if s == ID and t not in (ID, EXIT)]
+    cross = all(t[0] == 0 or t[1] == 0 for _, _, t in touching)
+    vertical = all(t[1] == 0 for _, _, t in touching)
+    top = [i for i, d in enumerate(spec.digits, start=1) if d[1] == spec.m - 1]
+    top_isolated = len(top) == 1 and not any(top[0] in (i, j) for i, j, _ in touching)
+    return ConditionReport(cross, vertical, top_isolated, top[0] if top_isolated else None)
 
 
 @dataclass(frozen=True)
@@ -274,9 +261,9 @@ def profile(spec: CarpetSpec) -> HBlockProfile:
     fiber = tuple(
         sum(1 for d in spec.digits if d[1] == row) for row in range(spec.m)
     )
-    assert sum(sizes) == len(spec.digits)
     per_row = Counter()
     for b in blocks:
         per_row[b.row] += b.size
-    assert all(per_row[row] == fiber[row] for row in range(spec.m))
+    if sum(sizes) != len(spec.digits) or any(per_row[row] != fiber[row] for row in range(spec.m)):
+        raise InternalError("the H-blocks do not partition the digits row by row")
     return HBlockProfile(sizes, tuple(sorted(pairs)), fiber)

@@ -15,14 +15,15 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .automaton import build_topology_automaton, surviving_time
+from .automaton import SigmaAutomaton, build_topology_automaton, surviving_time
 from .carpet import CarpetSpec, check_conditions, h_blocks, profile
 from .cross import from_topology_automaton
+from .errors import InternalError
 from .simplify import final_chain
 from .words import PeriodicWord
 
 
-class PreservationFailure(ValueError):
+class PreservationFailure(InternalError):
     """The constructed letter bijection fails adjacency preservation."""
 
 
@@ -83,6 +84,12 @@ def build_letter_bijection(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
     j-th letter.  The result is checked to preserve the in-row adjacency
     relation and the wrap-around relation of both carpets.
     """
+    bij = _match_blocks(E, F)
+    _verify_preservation(build_topology_automaton(E), build_topology_automaton(F), bij)
+    return bij
+
+
+def _match_blocks(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
     pairs_e, free_e = _split_blocks(E)
     pairs_f, free_f = _split_blocks(F)
     if len(pairs_e) != len(pairs_f) or len(free_e) != len(free_f):
@@ -100,14 +107,12 @@ def build_letter_bijection(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
             raise ValueError("free block sizes do not match")
         mapping.update(zip(a.letters, b.letters))
         matching.append((a, b))
-    bij = LetterBijection(mapping, tuple(matching))
-    _verify_preservation(E, F, bij)
-    return bij
+    return LetterBijection(mapping, tuple(matching))
 
 
-def _verify_preservation(E, F, bij):
-    ce = from_topology_automaton(build_topology_automaton(E))
-    cf = from_topology_automaton(build_topology_automaton(F))
+def _verify_preservation(M_e: SigmaAutomaton, M_f: SigmaAutomaton, bij: LetterBijection):
+    ce = from_topology_automaton(M_e)
+    cf = from_topology_automaton(M_f)
     for name, rel_e, rel_f in (("H", ce.PH, cf.PH), ("e1", ce.Pe1, cf.Pe1)):
         image = {(bij(i), bij(j)) for i, j in rel_e}
         if image != rel_f:
@@ -157,8 +162,10 @@ def decide_equivalence(E: CarpetSpec, F: CarpetSpec) -> EquivalenceVerdict:
         return passed
 
     ok = record("equalHorizontalDivisions", E.n == F.n, f"n: {E.n} vs {F.n}")
-    rep_e = check_conditions(E)
-    rep_f = check_conditions(F)
+    M_e = build_topology_automaton(E)
+    M_f = build_topology_automaton(F)
+    rep_e = check_conditions(E, M_e)
+    rep_f = check_conditions(F, M_f)
     ok &= record(
         "crossIntersection",
         rep_e.cross_intersection and rep_f.cross_intersection,
@@ -186,7 +193,8 @@ def decide_equivalence(E: CarpetSpec, F: CarpetSpec) -> EquivalenceVerdict:
     )
     if not ok:
         return EquivalenceVerdict("Inconclusive", tuple(reasons), None)
-    certificate = build_letter_bijection(E, F)
+    certificate = _match_blocks(E, F)
+    _verify_preservation(M_e, M_f, certificate)
     lipschitz = (
         E.is_fractal_square() and F.is_fractal_square() and E.n == F.n and E.m == F.m
     )

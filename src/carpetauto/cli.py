@@ -3,7 +3,8 @@
 Subcommands: analyze, automaton, simplify, equiv, survive, gmap,
 render, selftest.  Reports are JSON on stdout; DOT and SVG go to
 stdout or --out.  Exit codes: 0 success (any verdict), 1 selftest
-failure, 2 usage error, 3 bad input.
+failure, 2 usage error, 3 bad input, 4 internal error (a check of the
+program's own invariants failed; a fault in the program, not the input).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .automaton import (
     surviving_time,
 )
 from .carpet import CarpetError, CarpetSpec, check_conditions, parse_carpet, profile
+from .errors import InternalError
 from .geometry import render_svg
 from .gmap import GContext, OmegaWord, g_apply, h_apply, m_decompose, m_prime_decompose
 from .metric import holder_scale, rho
@@ -29,6 +31,7 @@ from .simplify import final_chain
 from .words import PeriodicWord, parse_word
 
 INPUT_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class InputError(Exception):
@@ -92,12 +95,12 @@ def _emit(text: str, out: str | None):
 
 def cmd_analyze(args):
     spec = _load_carpet(args.carpet)
+    M = build_topology_automaton(spec)
     report = {
-        "carpet": json.loads(spec.to_json()),
-        "conditions": check_conditions(spec).to_dict(),
+        "carpet": spec.to_dict(),
+        "conditions": check_conditions(spec, M).to_dict(),
         "profile": profile(spec).to_dict(),
     }
-    M = build_topology_automaton(spec)
     try:
         C = cross_mod.from_topology_automaton(M)
     except cross_mod.DiagonalStatePresent:
@@ -352,6 +355,9 @@ def run(argv=None) -> int:
     except (json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import EXIT, ID, SigmaAutomaton, mirror_check
+from .automaton import EXIT, ID, SigmaAutomaton, json_int, mirror_check
 from .words import PeriodicWord
 
 E1 = (1, 0)
@@ -80,26 +80,31 @@ class CrossAutomaton:
         states = frozenset({ID, EXIT, *AXIS_STATES})
         return SigmaAutomaton(self.alphabet_size, states, delta)
 
-    def to_json(self) -> str:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "N": self.alphabet_size,
             "PH": sorted(list(p) for p in self.PH),
             "PV": sorted(list(p) for p in self.PV),
             "Pe1": sorted(list(p) for p in self.Pe1),
             "Pe2": sorted(list(p) for p in self.Pe2),
         }
-        return json.dumps(data)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def cross_from_json(text: str) -> CrossAutomaton:
     data = json.loads(text)
-    return CrossAutomaton(
-        int(data["N"]),
-        _as_pairs(data.get("PH", ())),
-        _as_pairs(data.get("PV", ())),
-        _as_pairs(data.get("Pe1", ())),
-        _as_pairs(data.get("Pe2", ())),
-    )
+    if "N" not in data:
+        raise CrossAutomatonError("cross automaton JSON lacks the field 'N'")
+    fields = []
+    for name, parse in (("N", json_int), ("PH", _as_pairs), ("PV", _as_pairs),
+                        ("Pe1", _as_pairs), ("Pe2", _as_pairs)):
+        try:
+            fields.append(parse(data.get(name, ())))
+        except (TypeError, ValueError, ArithmeticError) as e:
+            raise CrossAutomatonError(f"malformed cross automaton JSON field {name!r}: {e}") from e
+    return CrossAutomaton(*fields)
 
 
 def from_topology_automaton(M: SigmaAutomaton) -> CrossAutomaton:
@@ -263,8 +268,23 @@ class Classification:
 def classify(C: CrossAutomaton, origin=None) -> Classification:
     """Class 0 / 1 / 2 per the abstract axioms; Class 1 needs provenance.
 
-    ``origin`` is the carpet the automaton came from; without it the best
+    ``origin`` is the carpet the automaton came from: ``C`` must be the
+    cross automaton of its topology automaton.  Without it the best
     possible answer is Class 2.
+
+    Class 1 asks the carpet for cross intersection, no vertical
+    separation and an isolated single top cell.  Where the last test
+    below is reached, the first two hold and the third is a property of
+    the top row alone:
+
+    - ``C`` exists, so no Id move reaches a diagonal offset: cross
+      intersection holds.
+    - PV is nonempty, so some Id move reaches ±e2: vertical separation
+      fails.
+    - Pe2 = {(γ, λ)}: the e2 loop on (γ, λ) needs d_γ in the top row
+      and d_λ in the bottom row.  γ is isolated in H and V, so no
+      first-order adjacency involves γ.  The carpet is top isolated
+      exactly when γ is the only letter of its top row.
     """
     if not C.PV:
         return Classification("Class0")
@@ -294,16 +314,8 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
             "Unclassified", top=gamma, bottom=lam, reason="PV graph has a cycle"
         )
     if origin is not None:
-        from .automaton import build_topology_automaton
-        from .carpet import check_conditions
-
-        rep = check_conditions(origin)
-        if (
-            rep.top_isolated
-            and rep.cross_intersection
-            and not rep.vertical_separation
-            and from_topology_automaton(build_topology_automaton(origin)) == C
-        ):
+        top_row = [i for i, d in enumerate(origin.digits, start=1) if d[1] == origin.m - 1]
+        if top_row == [gamma]:
             return Classification("Class1", top=gamma, bottom=lam)
     return Classification("Class2", top=gamma, bottom=lam)
 

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .errors import InternalError
+
 if TYPE_CHECKING:
     from .carpet import CarpetSpec
     from .words import PeriodicWord
@@ -96,8 +98,8 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
         if kept == alive:
             break
         alive = kept
-    assert (0, 0) in alive
-    assert all((-b[0], -b[1]) in alive for b in alive)
+    if (0, 0) not in alive or any((-b[0], -b[1]) not in alive for b in alive):
+        raise InternalError("the surviving offsets must hold 0 and be closed under negation")
     return IntersectionOracle(spec.n, spec.m, spec.digits, frozenset(alive))
 
 

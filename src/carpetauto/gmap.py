@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError
+
 
 @dataclass(frozen=True)
 class GContext:
@@ -62,7 +64,7 @@ def common_prefix_length(x: OmegaWord, y: OmegaWord) -> float:
     for k in range(1, n + 1):
         if x.letter(k) != y.letter(k):
             return k - 1
-    raise AssertionError("distinct omega words agree beyond both stems")
+    raise InternalError("distinct omega words agree beyond both stems")
 
 
 def _gamma_run(ctx, s, pos):

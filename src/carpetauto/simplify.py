@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cross import Classification, CrossAutomaton, classify, validate
+from .cross import (
+    Classification,
+    CrossAutomaton,
+    CrossAutomatonError,
+    check_uniqueness,
+    classify,
+    validate,
+)
+from .errors import InternalError
 
 
 class NotClass2(ValueError):
@@ -22,6 +30,7 @@ class SimplificationStep:
     after: CrossAutomaton
     deleted: tuple[int, int]  # (tau, kappa)
     top_bottom: tuple[int, int]  # (gamma, lambda)
+    after_class: Classification
 
     @property
     def g_supported(self) -> bool:
@@ -33,13 +42,11 @@ class SimplificationStep:
         return kappa not in (gamma, lam) and tau != gamma
 
     def to_dict(self):
-        import json
-
         return {
             "deleted": list(self.deleted),
             "topBottom": list(self.top_bottom),
-            "before": json.loads(self.before.to_json()),
-            "after": json.loads(self.after.to_json()),
+            "before": self.before.to_dict(),
+            "after": self.after.to_dict(),
             "gSupported": self.g_supported,
         }
 
@@ -48,7 +55,8 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     """Delete the canonical deletable vertical edge.
 
     Among edges (tau, kappa) with kappa V-maximal, the smallest kappa and
-    then the smallest tau is picked, so chains are reproducible.
+    then the smallest tau is picked, so chains are reproducible.  The
+    step carries the class of the result, which is checked here.
     """
     if cls is None:
         cls = classify(C)
@@ -59,7 +67,8 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
         for tau, kappa in C.PV
         if not any(i == kappa for i, _ in C.PV)
     )
-    assert candidates, "acyclic nonempty PV must have a V-maximal edge target"
+    if not candidates:
+        raise InternalError("acyclic nonempty PV must have a V-maximal edge target")
     kappa, tau = candidates[0]
     after = CrossAutomaton(
         C.alphabet_size,
@@ -70,13 +79,13 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     )
     after_cls = classify(after)
     expected = "Class0" if not after.PV else "Class2"
-    assert after_cls.kind == expected, (
-        f"one-step result is {after_cls.kind} ({after_cls.reason}), expected {expected}"
-    )
-    assert not any(i == kappa or j == kappa for i, j in after.PV), (
-        "deleted target must be V-isolated afterwards"
-    )
-    return SimplificationStep(C, after, (tau, kappa), (cls.top, cls.bottom))
+    if after_cls.kind != expected:
+        raise InternalError(
+            f"one-step result is {after_cls.kind} ({after_cls.reason}), expected {expected}"
+        )
+    if any(i == kappa or j == kappa for i, j in after.PV):
+        raise InternalError("deleted target must be V-isolated afterwards")
+    return SimplificationStep(C, after, (tau, kappa), (cls.top, cls.bottom), after_cls)
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,17 @@ class SimplificationChain:
 
 
 def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> SimplificationChain:
-    """Iterate one_step until PV is empty; Class-0 input gives an empty chain."""
+    """Iterate one_step until PV is empty; Class-0 input gives an empty chain.
+
+    one_step relies on every relation being a partial matching, so an
+    input that is not one is rejected before the first step.
+    """
     cls = classify(C)
     if cls.kind == "Class0":
         return SimplificationChain((C,), ())
+    problems = check_uniqueness(C)
+    if problems:
+        raise CrossAutomatonError(f"uniqueness violated: {problems}")
     stages = [C]
     steps = []
     cur, cur_cls = C, cls
@@ -108,7 +124,7 @@ def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> Simplificati
             validate(step.after)
         steps.append(step)
         stages.append(step.after)
-        cur = step.after
-        cur_cls = classify(cur)
-    assert len(steps) == len(C.PV)
+        cur, cur_cls = step.after, step.after_class
+    if len(steps) != len(C.PV):
+        raise InternalError("the chain must delete each vertical edge exactly once")
     return SimplificationChain(tuple(stages), tuple(steps))

@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .errors import InternalError
+
 
 def _primitive_root(period: tuple[int, ...]) -> tuple[int, ...]:
     n = len(period)
@@ -103,4 +105,4 @@ def common_prefix_length(x: PeriodicWord, y: PeriodicWord) -> float:
     for k in range(1, bound + 1):
         if x.letter(k) != y.letter(k):
             return k - 1
-    raise AssertionError("unequal words agree beyond the periodicity bound")
+    raise InternalError("unequal words agree beyond the periodicity bound")

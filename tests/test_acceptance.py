@@ -148,16 +148,22 @@ def test_criterion_01_feasibility_random_carpets():
 def feasibility_violations(T, t0):
     """Index triples (x, y, z) with min(T[x,y], T[x,z]) > T[y,z] + t0.
 
-    Collection stops after 1001 triples, so a broken matrix with millions
-    of violations fails the comparison without filling memory.
+    Both T[x,y] and T[x,z] must exceed the least right-hand side, so for
+    each apex x only the columns above it are compared.  Collection stops
+    after 1001 triples, so a broken matrix with millions of violations
+    fails the comparison without filling memory.
     """
     limit = 1000
-    rhs = T + np.int64(t0)
     out = set()
+    if not T.size:
+        return out
+    rhs = T + np.int64(t0)
+    floor = rhs.min()
     for x in range(T.shape[0]):
-        lhs = np.minimum(T[x][:, None], T[x][None, :])
-        hits = np.argwhere(lhs > rhs)[: limit + 1 - len(out)]
-        out.update((x, int(y), int(z)) for y, z in hits)
+        cols = np.flatnonzero(T[x] > floor)
+        lhs = np.minimum(T[x, cols][:, None], T[x, cols][None, :])
+        hits = np.argwhere(lhs > rhs[np.ix_(cols, cols)])[: limit + 1 - len(out)]
+        out.update((x, int(cols[y]), int(cols[z])) for y, z in hits)
         if len(out) > limit:
             break
     return out

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,12 @@ from carpetauto.carpet import (
     CarpetError,
     CarpetSpec,
     check_conditions,
-    cylinder_adjacency,
     digit_letter,
     h_blocks,
     parse_carpet,
     profile,
 )
+from carpetauto.geometry import build_oracle
 
 from conftest import SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11
 
@@ -83,13 +84,72 @@ def test_parse_grid_errors():
         parse_carpet("{not json")
 
 
+def reference_adjacency(spec):
+    """Unordered letter pairs {i, j} whose first-order cylinders touch, by
+    the loop over digit pairs: the digit offset d_j - d_i is a nonzero
+    unit offset that the oracle of the companion affirms."""
+    oracle = build_oracle(spec.companion())
+    pairs = set()
+    for i, di in enumerate(spec.digits, start=1):
+        for j, dj in enumerate(spec.digits, start=1):
+            off = (dj[0] - di[0], dj[1] - di[1])
+            if j > i and max(map(abs, off)) <= 1 and oracle.intersects(off):
+                pairs.add(frozenset((i, j)))
+    return pairs
+
+
+def reference_conditions(spec):
+    """(cross intersection, vertical separation, top isolated, top letter)
+    read from the digit-pair adjacency."""
+    adjacency = reference_adjacency(spec)
+    offsets = []
+    for pair in adjacency:
+        i, j = sorted(pair)
+        (a1, a2), (b1, b2) = spec.digits[i - 1], spec.digits[j - 1]
+        offsets.append((b1 - a1, b2 - a2))
+    top = [i for i, d in enumerate(spec.digits, start=1) if d[1] == spec.m - 1]
+    isolated = len(top) == 1 and not any(top[0] in p for p in adjacency)
+    return (
+        all(dx == 0 or dy == 0 for dx, dy in offsets),
+        all(dy == 0 for _, dy in offsets),
+        isolated,
+        top[0] if isolated else None,
+    )
+
+
 def test_adjacency_of_plus_shape():
     spec = parse_carpet(".#.\n###\n.#.")
-    pairs = cylinder_adjacency(spec)
+    pairs = reference_adjacency(spec)
     center = digit_letter(spec, (1, 1))
     # the center touches all four arms; arms touch only the center
     assert len(pairs) == 4
     assert all(center in p for p in pairs)
+    rep = check_conditions(spec)
+    assert rep.cross_intersection and not rep.vertical_separation
+    assert not rep.top_isolated and rep.top_letter is None
+
+
+def random_ratios(rng, count):
+    weights = [rng.randint(1, 4) for _ in range(count)]
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+def test_conditions_match_the_digit_pair_adjacency_on_random_carpets():
+    rng = random.Random(20261018)
+    kinds = {"ratios": 0, "notCross": 0}
+    for _ in range(300):
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        digits = tuple(rng.sample(cells, rng.randint(1, len(cells))))
+        spec = CarpetSpec(n, m, digits)
+        if rng.random() < 1 / 3:
+            kinds["ratios"] += 1
+            spec = CarpetSpec(n, m, digits, random_ratios(rng, n), random_ratios(rng, m))
+        rep = check_conditions(spec)
+        got = (rep.cross_intersection, rep.vertical_separation, rep.top_isolated, rep.top_letter)
+        assert got == reference_conditions(spec), spec
+        kinds["notCross"] += not rep.cross_intersection
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_conditions_on_fixtures():

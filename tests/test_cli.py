@@ -1,13 +1,23 @@
+import importlib
 import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carpetauto import automaton, cross, geometry
+from carpetauto.carpet import CarpetSpec
 from carpetauto.cli import build_parser, run
+from carpetauto.errors import InternalError
 
-from conftest import EXTENDED_9, SQUARE_TOP_5, SQUARE_VSEP_5
+from conftest import CHAIN2_CARPET, EXTENDED_9, SQUARE_TOP_5, SQUARE_VSEP_5
+
+# the package exports the function cross.classify under the module's name
+classify = importlib.import_module("carpetauto.classify")
 
 
 @pytest.fixture
@@ -164,10 +174,107 @@ def test_malformed_automaton_json_is_rejected(tmp_path, capsys):
         {"N": None, "states": [], "delta": {}},
         {"N": 2, "states": ["Id"], "delta": []},
         {"N": 2, "states": [["Id"]], "delta": {}},
+        {"N": 2.0, "states": ["Id"], "delta": {"Id|1,1": "Id", "Id|2,2": "Id"}},
     ):
         path.write_text(json.dumps(data))
         assert run(["survive", str(path), "(1)", "(1)"]) == 3
         assert "malformed automaton JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simplify", "survive"])
+def test_malformed_cross_automaton_json_is_rejected(command, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    cases = (
+        ({"PV": None}, "lacks the field 'N'"),
+        ({"N": 6, "PH": None}, "field 'PH'"),
+        ({"N": 5, "PV": [6]}, "field 'PV'"),
+        ({"N": [], "PV": []}, "field 'N'"),
+        ({"N": 1e8, "PV": []}, "expected an integer"),
+    )
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["(1)", "(1)"] if command == "survive" else [])
+        assert run(argv) == 3, data
+        assert message in capsys.readouterr().err
+
+
+def test_malformed_carpet_json_is_rejected(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    base = {"n": 3, "m": 3, "digits": [[0, 0], [1, 2]]}
+    cases = (
+        ({"vratios": 0}, "field 'vratios'"),
+        ({"hratios": [[1], [1], [1]]}, "field 'hratios'"),
+        ({"hratios": ["1/0", "1/2", "1/2"]}, "field 'hratios'"),
+        ({"n": None}, "field 'n'"),
+        ({"m": 3.0}, "field 'm': expected an integer"),
+        ({"digits": [[0]]}, "field 'digits'"),
+    )
+    for extra, message in cases:
+        path.write_text(json.dumps({**base, **extra}))
+        assert run(["analyze", str(path)]) == 3, extra
+        assert message in capsys.readouterr().err
+    path.write_text(json.dumps({"m": 3, "digits": []}))
+    assert run(["analyze", str(path)]) == 3
+    assert "lacks the field 'n'" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4_without_a_traceback(carpet_file, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cross, "decide_triple_coding_free", broken)
+    assert run(["simplify", carpet_file]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: invariant broken\n"
+    # a letter bijection that breaks adjacency preservation is internal too
+    identity = classify.LetterBijection({i: i for i in SQUARE_VSEP_5.letters()}, ())
+    monkeypatch.setattr(classify, "_match_blocks", lambda E, F: identity)
+    e = tmp_path / "e.txt"
+    e.write_text(SQUARE_VSEP_5.to_grid())
+    assert run(["equiv", str(e), carpet_file]) == 4
+    assert capsys.readouterr().err.startswith("internal error: H-relation not preserved")
+
+
+def spy(monkeypatch, module, name):
+    """Count the calls of module.name through every carpetauto module
+    that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "carpetauto":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_request_builds_each_carpet_once(carpet_file, tmp_path, monkeypatch, capsys):
+    e = tmp_path / "e.txt"
+    e.write_text(SQUARE_VSEP_5.to_grid())
+    for argv, carpets in (
+        (["analyze", carpet_file], 1),
+        (["equiv", str(e), carpet_file], 2),
+        (["survive", carpet_file, "(1)", "(2)"], 1),
+    ):
+        with monkeypatch.context() as patch:
+            oracles = spy(patch, geometry, "build_oracle")
+            automata = spy(patch, automaton, "build_topology_automaton")
+            assert run(argv) == 0
+        assert (len(oracles), len(automata)) == (carpets, carpets), argv[0]
+
+
+def test_simplify_classifies_each_stage_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "chain2.txt"
+    path.write_text(CHAIN2_CARPET.to_grid())
+    calls = spy(monkeypatch, cross, "classify")
+    assert run(["simplify", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+    assert len(calls) == 3
 
 
 def test_json_with_n_goes_to_the_automaton_parser(tmp_path, capsys):
@@ -225,3 +332,89 @@ def test_console_script_entry_point(carpet_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"]["kind"] == "Class1"
+
+
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 6), st.floats(),
+    st.sampled_from(["1/2", "1/0", "x", "Id", "e1"]),
+)
+json_value = st.recursive(json_leaf, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+
+@st.composite
+def cells(draw):
+    """(n, m, occupied cells) of a grid of at most 4x4."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    grid = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    return n, m, sorted(draw(st.sets(grid, min_size=1, max_size=n * m)))
+
+
+@st.composite
+def corrupted(draw, data):
+    """The JSON of `data`, often with one field dropped or replaced."""
+    data = dict(data)
+    key = draw(st.sampled_from(sorted(data)))
+    action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+    if action == "drop":
+        del data[key]
+    elif action == "replace":
+        data[key] = draw(json_value)
+    return json.dumps(data)
+
+
+@st.composite
+def grids(draw):
+    n, m, occupied = draw(cells())
+    rows = ["".join("#" if (x, y) in occupied else "." for x in range(n)) for y in range(m)]
+    if draw(st.integers(0, 3)) == 0:
+        y = draw(st.integers(0, m - 1))
+        rows[y] = draw(st.text(alphabet="#.x", max_size=5))
+    return "\n".join(reversed(rows))
+
+
+@st.composite
+def carpet_json(draw):
+    n, m, occupied = draw(cells())
+    data = {"n": n, "m": m, "digits": [list(c) for c in occupied]}
+    for name, count in (("hratios", n), ("vratios", m)):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+            data[name] = [f"{w}/{sum(weights)}" for w in weights]
+    return draw(corrupted(data))
+
+
+@st.composite
+def cross_json(draw):
+    N = draw(st.integers(1, 6))
+    letters = st.integers(1, N)
+    relation = st.lists(st.tuples(letters, letters), max_size=3)
+    data = {name: draw(relation) for name in ("PH", "PV", "Pe1", "Pe2")}
+    return draw(corrupted({"N": N, **data}))
+
+
+@st.composite
+def sigma_json(draw):
+    n, m, occupied = draw(cells())
+    M = automaton.build_topology_automaton(CarpetSpec(n, m, tuple(occupied)))
+    return draw(corrupted(json.loads(automaton.to_json(M))))
+
+
+carpet_sources = st.one_of(grids(), carpet_json())
+sources = st.one_of(carpet_sources, cross_json(), sigma_json())
+words = st.sampled_from(["(1)", "(2)", "1.2(3)", "2(1)", "1.2(1.3)", "(7)", "1.", "(x)"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=sources, second=carpet_sources, x=words, y=words)
+def test_cli_never_ends_in_a_traceback(tmp_path_factory, first, second, x, y):
+    directory = tmp_path_factory.mktemp("fuzz")
+    a, b = directory / "a", directory / "b"
+    a.write_text(first)
+    b.write_text(second)
+    for argv in (
+        ["analyze", a], ["automaton", a], ["automaton", a, "--format", "dot"],
+        ["simplify", a], ["survive", a, x, y], ["equiv", a, b],
+    ):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = run([str(arg) for arg in argv])
+        assert code in (0, 3), (argv[0], first, second, err.getvalue())

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from carpetauto.automaton import (
     surviving_time,
 )
 from carpetauto.cross import (
+    Classification,
     CrossAutomaton,
     CrossAutomatonError,
     DiagonalStatePresent,
@@ -22,7 +24,7 @@ from carpetauto.cross import (
     transpose_mirror_check,
     validate,
 )
-from carpetauto.carpet import parse_carpet
+from carpetauto.carpet import CarpetSpec, parse_carpet
 from carpetauto.words import PeriodicWord
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     TOP_ISOLATED_11,
     VSEP_11,
 )
+from test_carpet import reference_conditions
 
 
 def test_constructor_rejects_bad_relations():
@@ -176,6 +179,47 @@ def test_classify_chain2_fixture():
     got = classify(C, origin=CHAIN2_CARPET)
     assert got.kind == "Class1"
     assert len(C.PV) == 2
+
+
+def class12_carpet(rng):
+    """A random carpet of at most 6x6 biased towards Class 1 and 2: one
+    top cell above a bottom cell, random fill below, and often a second
+    top cell."""
+    n, m = rng.randint(2, 6), rng.randint(2, 6)
+    c = rng.randrange(n)
+    cells = {(c, m - 1), (c, 0)}
+    fill = 0.6 * rng.random()
+    cells |= {(x, y) for y in range(m - 1) for x in range(n) if rng.random() < fill}
+    if rng.random() < 0.6:
+        cells.add((rng.randrange(n), m - 1))
+    return CarpetSpec(n, m, tuple(cells))
+
+
+def test_class1_rule_matches_the_conditions_and_the_rebuild():
+    """Reference: a Class 2 automaton with an origin is Class 1 when the
+    origin is top isolated, cross intersecting and not vertically
+    separated by the digit-pair adjacency, and the cross automaton
+    rebuilt from the origin is C."""
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(2000):
+        spec = class12_carpet(rng)
+        try:
+            C = from_topology_automaton(build_topology_automaton(spec))
+        except DiagonalStatePresent:
+            continue
+        expected = classify(C)
+        cross, vertical, isolated, _ = reference_conditions(spec)
+        if (
+            expected.kind == "Class2"
+            and isolated and cross and not vertical
+            and from_topology_automaton(build_topology_automaton(spec)) == C
+        ):
+            expected = Classification("Class1", top=expected.top, bottom=expected.bottom)
+        got = classify(C, origin=spec)
+        assert got == expected, spec
+        kinds[got.kind] += 1
+    assert kinds["Class1"] >= 50 and kinds["Class2"] >= 50, kinds
 
 
 def test_classify_unclassified_reasons():

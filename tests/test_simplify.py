@@ -3,7 +3,7 @@ import json
 import pytest
 
 from carpetauto.automaton import build_topology_automaton
-from carpetauto.cross import CrossAutomaton, classify, from_topology_automaton
+from carpetauto.cross import CrossAutomaton, CrossAutomatonError, classify, from_topology_automaton
 from carpetauto.simplify import NotClass2, final_chain, one_step
 
 from conftest import CHAIN2_CARPET, SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11
@@ -53,6 +53,21 @@ def test_chain_stages_are_consistent():
         assert step.before == before and step.after == after
 
 
+def test_a_step_carries_the_class_of_its_result():
+    chain = final_chain(carpet_cross(CHAIN2_CARPET))
+    assert [s.after_class.kind for s in chain.steps] == ["Class2", "Class0"]
+    assert all(s.after_class == classify(s.after) for s in chain.steps)
+
+
+def test_chain_rejects_relations_that_are_not_matchings():
+    # kappa = 3 has two vertical predecessors: deleting one edge into it
+    # cannot leave it V-isolated
+    C = CrossAutomaton(5, set(), {(1, 3), (2, 3)}, set(), {(4, 5)})
+    assert classify(C).kind == "Class2"
+    with pytest.raises(CrossAutomatonError, match="two predecessors"):
+        final_chain(C)
+
+
 def test_chain_is_deterministic():
     C = carpet_cross(TOP_ISOLATED_11)
     a = final_chain(C)
@@ -69,7 +84,7 @@ def test_g_supported_flag():
     after = CrossAutomaton(4, set(), set(), set(), {(1, 2)})
     from carpetauto.simplify import SimplificationStep
 
-    step = SimplificationStep(C, after, (3, 2), (1, 2))
+    step = SimplificationStep(C, after, (3, 2), (1, 2), classify(after))
     assert not step.g_supported
 
 

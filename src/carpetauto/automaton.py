@@ -68,12 +68,29 @@ class AutomatonError(ValueError):
     """Malformed automaton definition."""
 
 
+# The largest alphabet, and the largest division count of a carpet.  The
+# time matrices store letters as uint8, and the bound keeps a few bytes of
+# input such as {"N": 100000000} from starting a loop over every letter or row.
+MAX_LETTER = 255
+
+
 def json_int(value) -> int:
     """A size read from JSON: an integer, not a float or a boolean, which
     int() would truncate or read as 0 and 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_field(data: dict, name: str, parse, error: type[ValueError], kind: str):
+    """parse(data[name]), raising `error` that names the field of the
+    `kind` JSON when it is missing or malformed."""
+    if name not in data:
+        raise error(f"{kind} JSON lacks the field {name!r}")
+    try:
+        return parse(data[name])
+    except (AttributeError, TypeError, ValueError, IndexError, ArithmeticError) as e:
+        raise error(f"malformed {kind} JSON field {name!r}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,8 @@ class SigmaAutomaton:
 
     def __post_init__(self):
         N = self.alphabet_size
+        if N > MAX_LETTER:
+            raise AutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
         if ID not in self.states or EXIT not in self.states:
             raise AutomatonError("the states must include Id and Exit")
         for (s, i, j), t in self.delta.items():
@@ -118,7 +137,7 @@ class SigmaAutomaton:
         return range(1, self.alphabet_size + 1)
 
 
-def build_topology_automaton(spec, oracle=None) -> SigmaAutomaton:
+def build_topology_automaton(spec) -> SigmaAutomaton:
     """Topology automaton of a carpet, built through its companion.
 
     From state with vector s on input (i, j) the joint descent moves to
@@ -132,8 +151,7 @@ def build_topology_automaton(spec, oracle=None) -> SigmaAutomaton:
     from .geometry import build_oracle, difference_index
 
     index = difference_index(spec)
-    if oracle is None:
-        oracle = build_oracle(spec.companion(), index)
+    oracle = build_oracle(spec.companion(), index)
     delta = {(ID, i, j): ID for i, j in index[(0, 0)]}
     targets = [v for v in oracle.survivors if v != (0, 0)]
     for s in [ID] + targets:
@@ -211,9 +229,10 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     return violations
 
 
-def random_word(rng, N: int, max_pre: int = 3, max_per: int = 3) -> PeriodicWord:
-    pre = tuple(rng.randint(1, N) for _ in range(rng.randint(0, max_pre)))
-    per = tuple(rng.randint(1, N) for _ in range(rng.randint(1, max_per)))
+def random_word(rng, N: int) -> PeriodicWord:
+    """A word over 1..N with a preperiod of 0-3 and a period of 1-3 letters."""
+    pre = tuple(rng.randint(1, N) for _ in range(rng.randint(0, 3)))
+    per = tuple(rng.randint(1, N) for _ in range(rng.randint(1, 3)))
     return PeriodicWord(pre, per)
 
 
@@ -253,17 +272,20 @@ def from_json(text: str) -> SigmaAutomaton:
     import json
 
     data = json.loads(text)
-    missing = [key for key in ("N", "states", "delta") if key not in data]
-    if missing:
-        raise AutomatonError(f"automaton JSON lacks the field {missing[0]!r}")
-    try:
-        N = json_int(data["N"])
-        states = frozenset(state_from_name(s) for s in data["states"]) | {ID, EXIT}
-        delta = {}
-        for key, target in data["delta"].items():
-            sname, pair = key.split("|")
-            i, j = (int(a) for a in pair.split(","))
-            delta[(state_from_name(sname), i, j)] = state_from_name(target)
-    except (AttributeError, TypeError) as e:
-        raise AutomatonError(f"malformed automaton JSON: {e}") from e
-    return SigmaAutomaton(N, states, delta)
+
+    def field(name, parse):
+        return json_field(data, name, parse, AutomatonError, "automaton")
+
+    N = field("N", json_int)
+    states = field("states", lambda names: frozenset(map(state_from_name, names)))
+    return SigmaAutomaton(N, states | {ID, EXIT}, field("delta", _parse_delta))
+
+
+def _parse_delta(entries) -> dict:
+    """The transition table from its JSON form {"state|i,j": "target"}."""
+    delta = {}
+    for key, target in entries.items():
+        sname, pair = key.split("|")
+        i, j = (int(a) for a in pair.split(","))
+        delta[(state_from_name(sname), i, j)] = state_from_name(target)
+    return delta

@@ -14,7 +14,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import EXIT, ID, SigmaAutomaton, build_topology_automaton, json_int
+from .automaton import (
+    EXIT,
+    ID,
+    MAX_LETTER,
+    SigmaAutomaton,
+    build_topology_automaton,
+    json_field,
+    json_int,
+)
 from .errors import InternalError
 
 
@@ -37,9 +45,13 @@ class CarpetSpec:
     def __post_init__(self):
         if self.n < 2 or self.m < 2:
             raise CarpetError("division counts must be at least 2")
+        if max(self.n, self.m) > MAX_LETTER:
+            raise CarpetError(f"division counts must be at most {MAX_LETTER}")
         digits = _canonical(tuple((int(a), int(b)) for a, b in self.digits))
         if not digits:
             raise CarpetError("digit set must be nonempty")
+        if len(digits) > MAX_LETTER:
+            raise CarpetError(f"{len(digits)} digits exceed the {MAX_LETTER} letters")
         if len(set(digits)) != len(digits):
             raise CarpetError("duplicate digit")
         for d1, d2 in digits:
@@ -118,26 +130,20 @@ def _parse_json(text: str) -> CarpetSpec:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CarpetError(f"invalid JSON: {e}") from e
-    n = _field(data, "n", json_int)
-    m = _field(data, "m", json_int)
-    digits = _field(data, "digits", lambda ds: tuple((int(d[0]), int(d[1])) for d in ds))
-    hratios = _field(data, "hratios", _ratios) if "hratios" in data else None
-    vratios = _field(data, "vratios", _ratios) if "vratios" in data else None
+
+    def field(name, parse):
+        return json_field(data, name, parse, CarpetError, "carpet")
+
+    n = field("n", json_int)
+    m = field("m", json_int)
+    digits = field("digits", lambda ds: tuple((int(d[0]), int(d[1])) for d in ds))
+    hratios = field("hratios", _ratios) if "hratios" in data else None
+    vratios = field("vratios", _ratios) if "vratios" in data else None
     return CarpetSpec(n, m, digits, hratios, vratios)
 
 
 def _ratios(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(r) for r in values)
-
-
-def _field(data: dict, name: str, parse):
-    """parse(data[name]), with a CarpetError naming the field on failure."""
-    if name not in data:
-        raise CarpetError(f"carpet JSON lacks the field {name!r}")
-    try:
-        return parse(data[name])
-    except (TypeError, ValueError, IndexError, ArithmeticError) as e:
-        raise CarpetError(f"malformed carpet JSON field {name!r}: {e}") from e
 
 
 def _parse_grid(text: str) -> CarpetSpec:
@@ -249,15 +255,18 @@ class HBlockProfile:
         }
 
 
+def row_pairs(blocks) -> list[tuple[HBlock, HBlock]]:
+    """Each row's (Left, Right) block pair, bottom row first, from the
+    blocks in the order `h_blocks` lists them; a row lacking either
+    block has no pair."""
+    lefts = {b.row: b for b in blocks if b.kind == "Left"}
+    return [(lefts[b.row], b) for b in blocks if b.kind == "Right" and b.row in lefts]
+
+
 def profile(spec: CarpetSpec) -> HBlockProfile:
     blocks = h_blocks(spec)
     sizes = tuple(sorted(b.size for b in blocks))
-    pairs = []
-    for row in range(spec.m):
-        lefts = [b for b in blocks if b.row == row and b.kind == "Left"]
-        rights = [b for b in blocks if b.row == row and b.kind == "Right"]
-        if lefts and rights:
-            pairs.append((lefts[0].size, rights[0].size))
+    pairs = [(left.size, right.size) for left, right in row_pairs(blocks)]
     fiber = tuple(
         sum(1 for d in spec.digits if d[1] == row) for row in range(spec.m)
     )

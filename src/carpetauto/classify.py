@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .automaton import SigmaAutomaton, build_topology_automaton, surviving_time
-from .carpet import CarpetSpec, check_conditions, h_blocks, profile
+from .carpet import CarpetSpec, check_conditions, h_blocks, profile, row_pairs
 from .cross import from_topology_automaton
 from .errors import InternalError
 from .simplify import final_chain
@@ -57,20 +57,9 @@ class LetterBijection:
 def _split_blocks(spec: CarpetSpec):
     """Separate pair-constituent blocks from free blocks, deterministically."""
     blocks = h_blocks(spec)
-    by_row = {}
-    for b in blocks:
-        by_row.setdefault(b.row, []).append(b)
-    pairs = []
-    free = []
-    for row in sorted(by_row):
-        lefts = [b for b in by_row[row] if b.kind == "Left"]
-        rights = [b for b in by_row[row] if b.kind == "Right"]
-        if lefts and rights:
-            pairs.append((lefts[0], rights[0]))
-            used = {lefts[0], rights[0]}
-        else:
-            used = set()
-        free.extend(b for b in by_row[row] if b not in used)
+    pairs = row_pairs(blocks)
+    used = {b for pair in pairs for b in pair}
+    free = [b for b in blocks if b not in used]
     pairs.sort(key=lambda p: (p[0].size, p[1].size, p[0].row))
     free.sort(key=lambda b: (b.size, b.row, b.columns[0]))
     return pairs, free

@@ -2,8 +2,17 @@
 
 Subcommands: analyze, automaton, simplify, equiv, survive, gmap,
 render, selftest.  Reports are JSON on stdout; DOT and SVG go to
-stdout or --out.  Exit codes: 0 success (any verdict), 1 selftest
-failure, 2 usage error, 3 bad input, 4 internal error (a check of the
+stdout or --out.
+
+A source file holds a carpet (ASCII grid or JSON), a cross automaton
+(JSON with PH or PV and no delta) or a sigma automaton (other JSON with
+delta or N, as `automaton` prints it).  `automaton`, `simplify` and
+`survive` take all three kinds; `analyze`, `equiv` and `render` take
+carpets only.
+
+Exit codes: 0 success (any verdict), 1 selftest failure, 2 usage error,
+3 bad input (any ValueError, which every parser and constructor raises
+for a malformed or oversized input), 4 internal error (a check of the
 program's own invariants failed; a fault in the program, not the input).
 """
 
@@ -18,24 +27,26 @@ import sys
 from . import automaton as automaton_mod
 from . import cross as cross_mod
 from .automaton import (
+    SigmaAutomaton,
     build_topology_automaton,
     is_infinite,
     surviving_time,
 )
 from .carpet import CarpetError, CarpetSpec, check_conditions, parse_carpet, profile
+from .cross import CrossAutomaton
 from .errors import InternalError
 from .geometry import render_svg
 from .gmap import GContext, OmegaWord, g_apply, h_apply, m_decompose, m_prime_decompose
 from .metric import holder_scale, rho
 from .simplify import final_chain
-from .words import PeriodicWord, parse_word
+from .words import parse_word
 
 INPUT_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Bad input found by the front end itself."""
 
 
 def _read(path: str) -> str:
@@ -48,39 +59,30 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from e
 
 
-def _load_carpet(path: str) -> CarpetSpec:
-    try:
-        return parse_carpet(_read(path))
-    except CarpetError as e:
-        raise InputError(str(e)) from e
+def _load(path: str) -> CarpetSpec | CrossAutomaton | SigmaAutomaton:
+    """The carpet, cross automaton or sigma automaton a file holds.
 
-
-def _load_automaton(path: str):
-    """(sigma automaton, carpet) from a sigma/cross/carpet description.
-
-    The carpet is the parsed CarpetSpec when the source is a carpet, and
-    None when it is a sigma or cross automaton.
+    JSON with PH or PV and no delta is a cross automaton; other JSON
+    with delta or N is a sigma automaton; anything else is a carpet.
     """
     text = _read(path)
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
         if ("PH" in data or "PV" in data) and "delta" not in data:
-            return cross_mod.cross_from_json(stripped).induced_automaton(), None
+            return cross_mod.cross_from_json(stripped)
         if "delta" in data or "N" in data:
-            return automaton_mod.from_json(stripped), None
-    try:
-        spec = parse_carpet(text)
-    except CarpetError as e:
-        raise InputError(str(e)) from e
-    return build_topology_automaton(spec), spec
+            return automaton_mod.from_json(stripped)
+    return parse_carpet(text)
 
 
-def _parse_words(args_words):
-    try:
-        return [parse_word(w) for w in args_words]
-    except ValueError as e:
-        raise InputError(str(e)) from e
+def _sigma(source: CarpetSpec | CrossAutomaton | SigmaAutomaton) -> SigmaAutomaton:
+    """The sigma automaton of a loaded source."""
+    if isinstance(source, CarpetSpec):
+        return build_topology_automaton(source)
+    if isinstance(source, CrossAutomaton):
+        return source.induced_automaton()
+    return source
 
 
 def _emit(text: str, out: str | None):
@@ -94,7 +96,7 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_analyze(args):
-    spec = _load_carpet(args.carpet)
+    spec = parse_carpet(_read(args.carpet))
     M = build_topology_automaton(spec)
     report = {
         "carpet": spec.to_dict(),
@@ -118,7 +120,7 @@ def cmd_analyze(args):
 
 
 def cmd_automaton(args):
-    M, _ = _load_automaton(args.source)
+    M = _sigma(_load(args.source))
     if args.format == "dot":
         _emit(automaton_mod.to_dot(M), args.out)
     else:
@@ -127,14 +129,11 @@ def cmd_automaton(args):
 
 
 def cmd_simplify(args):
-    text = _read(args.source)
-    stripped = text.strip()
-    data = json.loads(stripped) if stripped.startswith("{") else None
-    if data is not None and ("PH" in data or "PV" in data):
-        C = cross_mod.cross_from_json(stripped)
+    source = _load(args.source)
+    if isinstance(source, CrossAutomaton):
+        C = source
     else:
-        spec = parse_carpet(text)
-        C = cross_mod.from_topology_automaton(build_topology_automaton(spec))
+        C = cross_mod.from_topology_automaton(_sigma(source))
     chain = final_chain(C)
     _emit(chain.to_json(), args.out)
     return 0
@@ -143,23 +142,24 @@ def cmd_simplify(args):
 def cmd_equiv(args):
     from .classify import decide_equivalence
 
-    E = _load_carpet(args.e)
-    F = _load_carpet(args.f)
+    E = parse_carpet(_read(args.e))
+    F = parse_carpet(_read(args.f))
     verdict = decide_equivalence(E, F)
     _emit(verdict.to_json(), args.out)
     return 0
 
 
 def cmd_survive(args):
-    M, spec = _load_automaton(args.source)
-    x, y = _parse_words([args.x, args.y])
+    source = _load(args.source)
+    M = _sigma(source)
+    x, y = parse_word(args.x), parse_word(args.y)
     for w in (x, y):
         if not set(w.preperiod + w.period) <= set(M.letters()):
             raise InputError(f"word {w} has letters outside 1..{M.alphabet_size}")
     t = surviving_time(M, x, y)
     xi = args.xi
     if xi is None:
-        xi = holder_scale(spec).xi if spec is not None else 0.5
+        xi = holder_scale(source).xi if isinstance(source, CarpetSpec) else 0.5
     dist = rho(M, xi, x, y)
     _emit(
         json.dumps(
@@ -181,7 +181,7 @@ def cmd_gmap(args):
         ctx = GContext(gamma, lam, kappa, tau)
     except ValueError as e:
         raise InputError(f"bad context: {e}") from e
-    (word,) = _parse_words([args.word])
+    word = parse_word(args.word)
     if word.period != (ctx.kappa,):
         raise InputError("word must have period equal to the context kappa")
     x = OmegaWord(word.preperiod, ctx.kappa)
@@ -203,7 +203,7 @@ def cmd_gmap(args):
 
 
 def cmd_render(args):
-    spec = _load_carpet(args.carpet)
+    spec = parse_carpet(_read(args.carpet))
     _emit(render_svg(spec, args.depth, size=args.size), args.out)
     return 0
 
@@ -349,10 +349,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except (json.JSONDecodeError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except InternalError as e:

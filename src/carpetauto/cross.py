@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import EXIT, ID, SigmaAutomaton, json_int, mirror_check
+from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, json_field, json_int
 from .words import PeriodicWord
 
 E1 = (1, 0)
@@ -44,6 +44,8 @@ class CrossAutomaton:
         for name in ("PH", "PV", "Pe1", "Pe2"):
             object.__setattr__(self, name, _as_pairs(getattr(self, name)))
         N = self.alphabet_size
+        if N > MAX_LETTER:
+            raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
         for name in ("PH", "PV", "Pe1", "Pe2"):
             for i, j in getattr(self, name):
                 if not (1 <= i <= N and 1 <= j <= N):
@@ -95,16 +97,14 @@ class CrossAutomaton:
 
 def cross_from_json(text: str) -> CrossAutomaton:
     data = json.loads(text)
-    if "N" not in data:
-        raise CrossAutomatonError("cross automaton JSON lacks the field 'N'")
-    fields = []
-    for name, parse in (("N", json_int), ("PH", _as_pairs), ("PV", _as_pairs),
-                        ("Pe1", _as_pairs), ("Pe2", _as_pairs)):
-        try:
-            fields.append(parse(data.get(name, ())))
-        except (TypeError, ValueError, ArithmeticError) as e:
-            raise CrossAutomatonError(f"malformed cross automaton JSON field {name!r}: {e}") from e
-    return CrossAutomaton(*fields)
+
+    def field(name, parse):
+        return json_field(data, name, parse, CrossAutomatonError, "cross automaton")
+
+    N = field("N", json_int)
+    relations = [field(name, _as_pairs) if name in data else frozenset()
+                 for name in ("PH", "PV", "Pe1", "Pe2")]
+    return CrossAutomaton(N, *relations)
 
 
 def from_topology_automaton(M: SigmaAutomaton) -> CrossAutomaton:
@@ -214,47 +214,28 @@ def validate(C: CrossAutomaton):
         raise CrossAutomatonError(f"triple coding present, witness {witness}")
 
 
-@dataclass(frozen=True)
-class RelationGraph:
-    letters: tuple[int, ...]
-    edges: frozenset
-
-    def outdegree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if i == v)
-
-    def indegree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if j == v)
-
-    def is_maximal(self, v: int) -> bool:
-        return self.outdegree(v) == 0
-
-    def is_minimal(self, v: int) -> bool:
-        return self.indegree(v) == 0
-
-    def is_isolated(self, v: int) -> bool:
-        return self.is_maximal(v) and self.is_minimal(v)
-
-    def has_cycle(self) -> bool:
-        succ = {}
-        for i, j in self.edges:
-            succ.setdefault(i, []).append(j)
-        color = {}
-
-        def visit(v):
-            color[v] = 1
-            for w in succ.get(v, ()):
-                c = color.get(w, 0)
-                if c == 1 or (c == 0 and visit(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color.get(v, 0) == 0 and visit(v) for v in self.letters)
+def touches(rel, letter: int) -> bool:
+    """Whether `letter` lies on some edge of the relation."""
+    return any(letter in pair for pair in rel)
 
 
-def relation_graph(C: CrossAutomaton, which: str) -> RelationGraph:
-    rel = C.relations()[which]
-    return RelationGraph(tuple(range(1, C.alphabet_size + 1)), frozenset(rel))
+def has_cycle(rel) -> bool:
+    """Whether the relation, read as a directed graph, has a cycle."""
+    succ = {}
+    for i, j in rel:
+        succ.setdefault(i, []).append(j)
+    color = {}
+
+    def visit(v):
+        color[v] = 1
+        for w in succ.get(v, ()):
+            c = color.get(w, 0)
+            if c == 1 or (c == 0 and visit(w)):
+                return True
+        color[v] = 2
+        return False
+
+    return any(color.get(v, 0) == 0 and visit(v) for v in succ)
 
 
 @dataclass(frozen=True)
@@ -293,8 +274,8 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
     ((gamma, lam),) = C.Pe2
     if gamma == lam:
         return Classification("Unclassified", reason="top and bottom vertices coincide")
-    for which in ("H", "V", "e1"):
-        if not relation_graph(C, which).is_isolated(gamma):
+    for which, rel in (("H", C.PH), ("V", C.PV), ("e1", C.Pe1)):
+        if touches(rel, gamma):
             return Classification(
                 "Unclassified", top=gamma, bottom=lam,
                 reason=f"top vertex not isolated in {which}",
@@ -309,7 +290,7 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
                 "Unclassified", top=gamma, bottom=lam,
                 reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
             )
-    if relation_graph(C, "V").has_cycle():
+    if has_cycle(C.PV):
         return Classification(
             "Unclassified", top=gamma, bottom=lam, reason="PV graph has a cycle"
         )
@@ -318,8 +299,3 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
         if top_row == [gamma]:
             return Classification("Class1", top=gamma, bottom=lam)
     return Classification("Class2", top=gamma, bottom=lam)
-
-
-def transpose_mirror_check(C: CrossAutomaton) -> bool:
-    """The induced table is symmetric under state negation + transposition."""
-    return mirror_check(C.induced_automaton())

@@ -15,7 +15,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .automaton import EXIT, ID, SigmaAutomaton, order_key
+from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, order_key
 
 INF = np.int64(10**9)
 
@@ -35,9 +35,6 @@ def transition_table(M: SigmaAutomaton):
         tab[index[s], i, j] = index[t]
     tab[exit_idx, :, :] = exit_idx
     return tab, index[ID], exit_idx
-
-
-MAX_LETTER = 255
 
 
 def stems_to_array(stems, tails, steps: int):
@@ -163,12 +160,3 @@ def check_feasibility_matrix(T: np.ndarray, t0: int = 1) -> int:
         rest = rest[rest > v]
     return bad
 
-
-def enumerate_stems(N: int, max_len: int):
-    """All stems over 1..N of length 0..max_len, in lexicographic order."""
-    from itertools import product
-
-    out = [()]
-    for length in range(1, max_len + 1):
-        out.extend(product(range(1, N + 1), repeat=length))
-    return out

@@ -184,10 +184,9 @@ def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
     return rects
 
 
-def render_svg(spec: "CarpetSpec", depth: int, size: int = 512,
-               fill: str = "#1f4e79", cap: int = 10**6) -> str:
+def render_svg(spec: "CarpetSpec", depth: int, size: int = 512) -> str:
     """SVG 1.1 document with one rectangle per depth-k cylinder."""
-    rects = cylinder_rects(spec, depth, cap=cap)
+    rects = cylinder_rects(spec, depth)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -200,7 +199,7 @@ def render_svg(spec: "CarpetSpec", depth: int, size: int = 512,
         sy = (1.0 - float(y) - float(h)) * size
         lines.append(
             f'<rect x="{sx:.4f}" y="{sy:.4f}" width="{float(w) * size:.4f}" '
-            f'height="{float(h) * size:.4f}" fill="{fill}"/>'
+            f'height="{float(h) * size:.4f}" fill="#1f4e79"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

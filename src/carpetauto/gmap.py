@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,6 @@ class OmegaWord:
 
     def __str__(self):
         return "".join(str(a) for a in self.stem) + f"({self.kappa})^inf"
-
-
-def common_prefix_length(x: OmegaWord, y: OmegaWord) -> float:
-    import math
-
-    if x == y:
-        return math.inf
-    n = max(len(x.stem), len(y.stem)) + 1
-    for k in range(1, n + 1):
-        if x.letter(k) != y.letter(k):
-            return k - 1
-    raise InternalError("distinct omega words agree beyond both stems")
 
 
 def _gamma_run(ctx, s, pos):

@@ -7,10 +7,22 @@ classes), so a regression in the library cannot silently invalidate
 them.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from carpetauto.carpet import CarpetSpec
 from carpetauto.cross import CrossAutomaton
+
+
+def src_env() -> dict:
+    """The environment for a child Python process, with this checkout's
+    src first on PYTHONPATH, so the child imports the package under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 # 5x5 fractal square, top isolated: full bottom row, a (1,1) block pair,
 # one size-2 block, one free size-1 block, isolated top cell.

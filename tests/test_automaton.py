@@ -200,3 +200,12 @@ def test_topology_automaton_matches_reference_on_random_carpets():
         assert to_json(M) == to_json(R)
         assert to_dot(M) == to_dot(R)
         assert to_dot(M, include_exit=True) == to_dot(R, include_exit=True)
+
+
+def test_alphabet_bound():
+    def identity_table(N):
+        return SigmaAutomaton(N, frozenset({ID, EXIT}), {(ID, i, i): ID for i in range(1, N + 1)})
+
+    assert identity_table(255).alphabet_size == 255
+    with pytest.raises(AutomatonError, match="256 letters exceeds 255"):
+        identity_table(256)

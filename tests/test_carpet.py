@@ -210,3 +210,15 @@ def test_profile_json_shape():
     d = profile(SQUARE_TOP_5).to_dict()
     assert json.dumps(d)
     assert set(d) == {"blockSizes", "pairSizes", "fiber"}
+
+
+def test_size_bound():
+    assert CarpetSpec(255, 2, tuple((a, 0) for a in range(255))).alphabet_size == 255
+    assert CarpetSpec(2, 255, ((0, 0),)).m == 255
+    with pytest.raises(CarpetError, match="256 digits exceed the 255 letters"):
+        CarpetSpec(128, 2, tuple((a, b) for a in range(128) for b in range(2)))
+    with pytest.raises(CarpetError, match="256 digits exceed the 255 letters"):
+        CarpetSpec(16, 16, tuple((a, b) for a in range(16) for b in range(16)))
+    for n, m in ((256, 2), (2, 256)):
+        with pytest.raises(CarpetError, match="at most 255"):
+            CarpetSpec(n, m, ((0, 0),))

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from carpetauto.automaton import random_word
-from carpetauto.carpet import CarpetSpec, parse_carpet
+from carpetauto.carpet import CarpetSpec, h_blocks, parse_carpet, profile, row_pairs
 from carpetauto.classify import (
+    _split_blocks,
     build_letter_bijection,
     decide_equivalence,
     final_automaton,
@@ -108,3 +110,62 @@ def test_final_automaton_has_no_vertical_entries():
     for i in M.letters():
         for j in M.letters():
             assert M.step(ID, i, j) not in ((0, 1), (0, -1))
+
+
+def reference_pair_sizes(spec):
+    """The per-row pairing loop `profile` ran before `row_pairs`."""
+    blocks = h_blocks(spec)
+    pairs = []
+    for row in range(spec.m):
+        lefts = [b for b in blocks if b.row == row and b.kind == "Left"]
+        rights = [b for b in blocks if b.row == row and b.kind == "Right"]
+        if lefts and rights:
+            pairs.append((lefts[0].size, rights[0].size))
+    return tuple(sorted(pairs))
+
+
+def reference_split_blocks(spec):
+    """The per-row pairing loop `_split_blocks` ran before `row_pairs`."""
+    by_row = {}
+    for b in h_blocks(spec):
+        by_row.setdefault(b.row, []).append(b)
+    pairs = []
+    free = []
+    for row in sorted(by_row):
+        lefts = [b for b in by_row[row] if b.kind == "Left"]
+        rights = [b for b in by_row[row] if b.kind == "Right"]
+        if lefts and rights:
+            pairs.append((lefts[0], rights[0]))
+            used = {lefts[0], rights[0]}
+        else:
+            used = set()
+        free.extend(b for b in by_row[row] if b not in used)
+    pairs.sort(key=lambda p: (p[0].size, p[1].size, p[0].row))
+    free.sort(key=lambda b: (b.size, b.row, b.columns[0]))
+    return pairs, free
+
+
+def random_ratios(rng, count):
+    weights = [rng.randint(1, 4) for _ in range(count)]
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+def test_row_pairs_match_the_per_row_loops_on_random_carpets():
+    rng = random.Random(20261019)
+    seen = {"ratios": 0, "pairs": 0, "free": 0}
+    for _ in range(400):
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        digits = tuple(rng.sample(cells, rng.randint(1, len(cells))))
+        spec = CarpetSpec(n, m, digits)
+        if rng.random() < 1 / 3:
+            seen["ratios"] += 1
+            spec = CarpetSpec(n, m, digits, random_ratios(rng, n), random_ratios(rng, m))
+        pairs = row_pairs(h_blocks(spec))
+        assert [left.row for left, _ in pairs] == sorted({left.row for left, _ in pairs})
+        assert all(left.row == right.row for left, right in pairs)
+        assert profile(spec).pair_sizes == reference_pair_sizes(spec)
+        assert _split_blocks(spec) == reference_split_blocks(spec)
+        seen["pairs"] += len(pairs)
+        seen["free"] += len(_split_blocks(spec)[1])
+    assert min(seen.values()) >= 100, seen

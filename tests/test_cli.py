@@ -14,7 +14,8 @@ from carpetauto.carpet import CarpetSpec
 from carpetauto.cli import build_parser, run
 from carpetauto.errors import InternalError
 
-from conftest import CHAIN2_CARPET, EXTENDED_9, SQUARE_TOP_5, SQUARE_VSEP_5
+import conftest
+from conftest import CHAIN2_CARPET, EXTENDED_9, SQUARE_TOP_5, SQUARE_VSEP_5, src_env
 
 # the package exports the function cross.classify under the module's name
 classify = importlib.import_module("carpetauto.classify")
@@ -160,6 +161,7 @@ def test_malformed_automaton_is_rejected_under_optimize(tmp_path):
         [sys.executable, "-O", "-m", "carpetauto", "survive", str(path), "(1)", "(2)"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 3
     assert "outside 1..2" in proc.stderr and "Traceback" not in proc.stderr
@@ -285,6 +287,99 @@ def test_json_with_n_goes_to_the_automaton_parser(tmp_path, capsys):
     assert "'states'" in err and "'n'" not in err
 
 
+CARPET_FIXTURES = {name: value for name, value in vars(conftest).items()
+                   if isinstance(value, CarpetSpec)}
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = run([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CARPET_FIXTURES))
+def test_simplify_reads_the_automaton_json_of_a_carpet_as_the_carpet(name, tmp_path):
+    carpet = tmp_path / "carpet.json"
+    carpet.write_text(CARPET_FIXTURES[name].to_json())
+    code, sigma_json, _ = run_captured(["automaton", carpet])
+    assert code == 0
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(sigma_json)
+    assert run_captured(["simplify", sigma]) == run_captured(["simplify", carpet])
+
+
+# exit code by command and input kind, as README's table of inputs states
+INPUT_KINDS = ("grid", "carpet", "cross", "sigma")
+ACCEPTS = {
+    "analyze": (0, 0, 3, 3),
+    "automaton": (0, 0, 0, 0),
+    "simplify": (0, 0, 0, 0),
+    "equiv": (0, 0, 3, 3),
+    "survive": (0, 0, 0, 0),
+    "render": (0, 0, 3, 3),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTS))
+def test_each_command_takes_the_input_kinds_readme_states(command, tmp_path):
+    M = automaton.build_topology_automaton(SQUARE_TOP_5)
+    texts = {
+        "grid": SQUARE_TOP_5.to_grid(),
+        "carpet": SQUARE_TOP_5.to_json(),
+        "cross": cross.from_topology_automaton(M).to_json(),
+        "sigma": automaton.to_json(M),
+    }
+    extra = {"equiv": [tmp_path / "grid"], "survive": ["(1)", "(2)"], "render": ["--depth", "1"]}
+    for kind in INPUT_KINDS:
+        (tmp_path / kind).write_text(texts[kind])
+    codes = tuple(
+        run_captured([command, tmp_path / kind, *extra.get(command, [])])[0]
+        for kind in INPUT_KINDS
+    )
+    assert codes == ACCEPTS[command]
+
+
+def test_cross_json_with_delta_means_one_thing_to_every_command(tmp_path):
+    # PH beside delta: a sigma automaton for automaton, survive and simplify
+    data = json.loads(automaton.to_json(automaton.build_topology_automaton(SQUARE_TOP_5)))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**data, "PH": "ignored"}))
+    for argv in (["automaton", path], ["survive", path, "(1)", "(2)"], ["simplify", path]):
+        assert run_captured(argv)[0] == 0, argv[0]
+    path.write_text(json.dumps({**data, "N": None, "PH": []}))
+    for argv in (["automaton", path], ["survive", path, "(1)", "(2)"], ["simplify", path]):
+        code, _, err = run_captured(argv)
+        assert code == 3 and "malformed automaton JSON field 'N'" in err, argv[0]
+
+
+def test_malformed_delta_names_the_field(tmp_path):
+    path = tmp_path / "m.json"
+    for key, target in (("Id11", "Id"), ("Id|1,1", "Zz"), ("Id|a,1", "Id")):
+        path.write_text(json.dumps({"N": 1, "states": ["Id"], "delta": {key: target}}))
+        for argv in (["automaton", path], ["survive", path, "(1)", "(1)"], ["simplify", path]):
+            code, _, err = run_captured(argv)
+            assert code == 3 and "field 'delta'" in err, (key, target, argv[0], err)
+
+
+def test_sizes_beyond_the_letter_bound_exit_3(tmp_path):
+    path = tmp_path / "big"
+    cases = (
+        ({"N": 100_000_000, "PV": []}, "exceeds 255"),
+        ({"N": 100_000_000, "states": ["Id"], "delta": {}}, "exceeds 255"),
+        ({"n": 100_000_000, "m": 2, "digits": [[0, 0]]}, "at most 255"),
+        ({"n": 2, "m": 256, "digits": [[0, 0]]}, "at most 255"),
+    )
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        code, _, err = run_captured(["survive", path, "(1)", "(1)"])
+        assert code == 3 and message in err, (data, err)
+    path.write_text("\n".join(["#" * 16] * 16))
+    for argv in (["analyze", path], ["survive", path, "(1)", "(1)"], ["render", path]):
+        code, _, err = run_captured(argv)
+        assert code == 3 and "256 digits exceed the 255 letters" in err, argv[0]
+
+
 def test_one_parser_serves_many_calls(carpet_file, tmp_path, capsys):
     build_parser.cache_clear()
     assert run(["survive", carpet_file, "(1)", "(2)"]) == 0
@@ -329,6 +424,7 @@ def test_console_script_entry_point(carpet_file):
         [sys.executable, "-m", "carpetauto", "analyze", carpet_file],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"]["kind"] == "Class1"

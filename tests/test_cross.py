@@ -8,6 +8,7 @@ from carpetauto.automaton import (
     ID,
     build_topology_automaton,
     is_infinite,
+    mirror_check,
     surviving_time,
 )
 from carpetauto.cross import (
@@ -20,8 +21,8 @@ from carpetauto.cross import (
     cross_from_json,
     decide_triple_coding_free,
     from_topology_automaton,
-    relation_graph,
-    transpose_mirror_check,
+    has_cycle,
+    touches,
     validate,
 )
 from carpetauto.carpet import CarpetSpec, parse_carpet
@@ -63,7 +64,7 @@ def test_induced_automaton_mirrors_relations():
     assert M.step((-1, 0), 1, 5) == (-1, 0)
     assert M.step(ID, 7, 6) == (0, 1)
     assert M.step((0, 1), 8, 7) == (0, 1)
-    assert transpose_mirror_check(CARPET_8)
+    assert mirror_check(CARPET_8.induced_automaton())
 
 
 def test_extraction_round_trip_from_carpets():
@@ -149,14 +150,17 @@ def test_triple_coding_decision_matches_word_enumeration():
     assert True in verdicts[2:] and False in verdicts[2:]
 
 
-def test_relation_graph_properties():
-    g = relation_graph(CARPET_8, "H")
-    assert g.outdegree(1) == 1 and g.indegree(1) == 0
-    assert g.is_minimal(1) and g.is_maximal(5)
-    assert g.is_isolated(8)
-    assert not g.has_cycle()
-    cyc = relation_graph(CrossAutomaton(3, set(), {(1, 2), (2, 3), (3, 1)}, set(), set()), "V")
-    assert cyc.has_cycle()
+def test_touches_and_has_cycle():
+    # CARPET_8's H relation: 1 -> ... -> 5 is a path, 8 lies on no edge
+    assert touches(CARPET_8.PH, 1) and touches(CARPET_8.PH, 5)
+    assert not touches(CARPET_8.PH, 8)
+    assert not touches(frozenset(), 1)
+    assert not has_cycle(CARPET_8.PH)
+    assert not has_cycle(frozenset())
+    assert not has_cycle({(1, 2), (2, 3), (1, 3), (4, 3)})
+    assert has_cycle({(1, 2), (2, 3), (3, 1)})
+    assert has_cycle({(4, 1), (1, 2), (2, 1)})
+    assert has_cycle({(3, 3)})
 
 
 def test_classify_class0():
@@ -232,3 +236,9 @@ def test_classify_unclassified_reasons():
     got = classify(C)
     assert got.kind == "Unclassified"
     assert "not isolated" in got.reason
+
+
+def test_alphabet_bound():
+    assert CrossAutomaton(255, {(1, 255)}, set(), set(), set()).alphabet_size == 255
+    with pytest.raises(CrossAutomatonError, match="256 letters exceeds 255"):
+        CrossAutomaton(256, {(1, 256)}, set(), set(), set())

@@ -6,7 +6,6 @@ import pytest
 from carpetauto.gmap import (
     GContext,
     OmegaWord,
-    common_prefix_length,
     g0,
     g0_inverse,
     g_apply,
@@ -14,6 +13,7 @@ from carpetauto.gmap import (
     m_decompose,
     m_prime_decompose,
 )
+from carpetauto.words import common_prefix_length
 
 # canonical context on five letters: gamma=1, lambda=2, kappa=3, tau=4
 CTX = GContext(gamma=1, lam=2, kappa=3, tau=4)
@@ -120,8 +120,8 @@ def test_common_prefix_of_images_is_controlled():
     # prefix still share all fully-contained segments
     pool = words(5)
     for x, y in itertools.combinations(pool[:120], 2):
-        p = common_prefix_length(x, y)
-        q = common_prefix_length(g_apply(CTX, x), g_apply(CTX, y))
+        p = common_prefix_length(x.to_periodic(), y.to_periodic())
+        q = common_prefix_length(g_apply(CTX, x).to_periodic(), g_apply(CTX, y).to_periodic())
         if math.isinf(p):
             assert math.isinf(q)
         else:

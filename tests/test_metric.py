@@ -18,7 +18,7 @@ from carpetauto.metric import (
 )
 from carpetauto.words import PeriodicWord, parse_word
 
-from conftest import BARANSKI_RATIO, PROJECTION_CARPETS, SQUARE_TOP_5
+from conftest import BARANSKI_RATIO, PROJECTION_CARPETS, SQUARE_TOP_5, src_env
 
 
 def test_holder_scale_of_uniform_carpet():
@@ -41,7 +41,9 @@ def test_holder_scale_rejects_bad_inputs_also_under_optimize():
         "except ValueError:\n"
         "    print('rejected')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
 

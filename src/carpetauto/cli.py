@@ -26,12 +26,7 @@ import sys
 
 from . import automaton as automaton_mod
 from . import cross as cross_mod
-from .automaton import (
-    SigmaAutomaton,
-    build_topology_automaton,
-    is_infinite,
-    surviving_time,
-)
+from .automaton import SigmaAutomaton, build_topology_automaton, is_infinite
 from .carpet import CarpetError, CarpetSpec, check_conditions, parse_carpet, profile
 from .cross import CrossAutomaton
 from .errors import InternalError
@@ -156,11 +151,11 @@ def cmd_survive(args):
     for w in (x, y):
         if not set(w.preperiod + w.period) <= set(M.letters()):
             raise InputError(f"word {w} has letters outside 1..{M.alphabet_size}")
-    t = surviving_time(M, x, y)
     xi = args.xi
     if xi is None:
         xi = holder_scale(source).xi if isinstance(source, CarpetSpec) else 0.5
     dist = rho(M, xi, x, y)
+    t = dist.time
     _emit(
         json.dumps(
             {

@@ -165,9 +165,15 @@ def _cumulative(ratios):
 
 
 def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
-    """All depth-k cylinder rectangles as (x, y, w, h) Fractions, y-up."""
+    """All depth-k cylinder rectangles as (x, y, w, h) Fractions, y-up.
+
+    A depth beyond cap.bit_length() is refused before any power is
+    taken: with two or more digits it yields more than cap rectangles.
+    """
     if depth < 1:
         raise ValueError("depth must be positive")
+    if depth > cap.bit_length():
+        raise ValueError(f"depth {depth} exceeds {cap.bit_length()}, the deepest a cap of {cap} allows")
     if len(spec.digits) ** depth > cap:
         raise ValueError(f"{len(spec.digits)}^{depth} rectangles exceed cap {cap}")
     hr = spec.horizontal_ratios()
@@ -186,6 +192,8 @@ def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
 
 def render_svg(spec: "CarpetSpec", depth: int, size: int = 512) -> str:
     """SVG 1.1 document with one rectangle per depth-k cylinder."""
+    if size < 1:
+        raise ValueError("size must be positive")
     rects = cylinder_rects(spec, depth)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

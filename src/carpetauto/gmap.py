@@ -1,16 +1,25 @@
 """The universal symbolic bijection on words with an eventually-constant tail.
 
 Everything here is purely symbolic: fix four special letters gamma,
-lambda, kappa, tau and consider words omega kappa^inf.  Such a word has
-a unique greedy decomposition into segments drawn from a small segment
-alphabet, and mapping segments one-by-one gives a bijection g whose
-inverse h uses the image segment alphabet.
+lambda, kappa, tau and consider words omega kappa^inf.  The map g reads
+the stem greedily, left to right, as segments of the source alphabet
+and replaces each segment by its image; its inverse h reads the image
+alphabet and maps back.  With j >= 0, g and h exchange
+
+    source segment (g reads)    image segment (h reads)
+    τ γ^(j+2)                   κ λ^j κ γ
+    κ κ γ                       τ γ γ
+    κ λ^(j+1) κ γ               κ λ^j κ γ γ
+    any other letter            the same letter
+
+The image reader takes κ λ^j κ γ γ over κ λ^j κ γ where it can, and
+leaves any γ after τ γ γ as single letters.  Multi-letter segments end
+in γ, so they never reach into a tail whose letter is not γ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 
 
 @dataclass(frozen=True)
@@ -54,139 +63,92 @@ class OmegaWord:
         return "".join(str(a) for a in self.stem) + f"({self.kappa})^inf"
 
 
-def _gamma_run(ctx, s, pos):
-    q = pos
-    while q < len(s) and s[q] == ctx.gamma:
-        q += 1
-    return q - pos
+def _segments(ctx: GContext, s: tuple[int, ...], image: bool):
+    """The greedy segments of `s` paired with their images (module table).
+
+    Reads the source alphabet and maps by g, or with `image` set reads
+    the image alphabet and maps by h.
+    """
+    gamma, lam, kappa, tau = ctx.gamma, ctx.lam, ctx.kappa, ctx.tau
+    n = len(s)
+    out = []
+    pos = 0
+    while pos < n:
+        a = s[pos]
+        if a == kappa:
+            q = pos + 1
+            while q < n and s[q] == lam:
+                q += 1
+            if q + 1 < n and s[q] == kappa and s[q + 1] == gamma:
+                j, end = q - pos - 1, q + 2
+                if not image and j:
+                    img = (kappa,) + (lam,) * (j - 1) + (kappa, gamma, gamma)
+                elif not image:
+                    img = (tau, gamma, gamma)
+                elif end < n and s[end] == gamma:
+                    end += 1
+                    img = (kappa,) + (lam,) * (j + 1) + (kappa, gamma)
+                else:
+                    img = (tau,) + (gamma,) * (j + 2)
+                out.append((s[pos:end], img))
+                pos = end
+                continue
+        elif a == tau:
+            q = pos + 1
+            while q < n and s[q] == gamma:
+                q += 1
+            if q - pos >= 3:
+                if image:
+                    q, img = pos + 3, (kappa, kappa, gamma)
+                else:
+                    img = (kappa,) + (lam,) * (q - pos - 3) + (kappa, gamma)
+                out.append((s[pos:q], img))
+                pos = q
+                continue
+        seg = s[pos : pos + 1]
+        out.append((seg, seg))
+        pos += 1
+    return out
 
 
 def m_decompose(ctx: GContext, x: OmegaWord) -> list[tuple[int, ...]]:
-    """Greedy decomposition of the stem by {tau g^k; k>=2} u {k l^k k g} u letters.
-
-    Multi-letter segments end in gamma, never kappa, so they cannot reach
-    into the kappa tail; the tail is implicitly all singleton kappas.
-    """
-    s = x.stem
-    if x.kappa in (ctx.gamma,):
+    """The source segments of the stem; the kappa tail is all singletons."""
+    if x.kappa == ctx.gamma:
         raise ValueError("tail letter clashes with gamma")
-    segs = []
-    pos = 0
-    while pos < len(s):
-        a = s[pos]
-        if a == ctx.tau:
-            r = _gamma_run(ctx, s, pos + 1)
-            if r >= 2:
-                segs.append(s[pos : pos + 1 + r])
-                pos += 1 + r
-                continue
-        elif a == ctx.kappa:
-            q = pos + 1
-            while q < len(s) and s[q] == ctx.lam:
-                q += 1
-            if q + 1 < len(s) and s[q] == ctx.kappa and s[q + 1] == ctx.gamma:
-                segs.append(s[pos : q + 2])
-                pos = q + 2
-                continue
-        segs.append((a,))
-        pos += 1
-    return segs
+    return [seg for seg, _ in _segments(ctx, x.stem, False)]
 
 
 def m_prime_decompose(ctx: GContext, u: OmegaWord) -> list[tuple[int, ...]]:
-    """Greedy decomposition by {k l^k k g} u {k l^k k g g} u {tau g g} u letters."""
-    s = u.stem
-    segs = []
-    pos = 0
-    while pos < len(s):
-        a = s[pos]
-        if a == ctx.kappa:
-            q = pos + 1
-            while q < len(s) and s[q] == ctx.lam:
-                q += 1
-            if q + 1 < len(s) and s[q] == ctx.kappa and s[q + 1] == ctx.gamma:
-                end = q + 2
-                if end < len(s) and s[end] == ctx.gamma:
-                    end += 1
-                segs.append(s[pos:end])
-                pos = end
-                continue
-        elif a == ctx.tau:
-            # a longer gamma run still starts with the tau-gamma-gamma
-            # segment: the surplus gammas are singletons of the source word
-            if s[pos + 1 : pos + 3] == (ctx.gamma, ctx.gamma):
-                segs.append(s[pos : pos + 3])
-                pos += 3
-                continue
-        segs.append((a,))
-        pos += 1
-    return segs
+    """The image segments of the stem."""
+    return [seg for seg, _ in _segments(ctx, u.stem, True)]
 
 
-def _is_tau_gamma(ctx, seg):
-    return (
-        len(seg) >= 3
-        and seg[0] == ctx.tau
-        and all(a == ctx.gamma for a in seg[1:])
-    )
-
-
-def _split_klkg(ctx, seg):
-    """Return (k, extra_gammas) for kappa lam^k kappa gamma^(1+extra) shapes."""
-    if len(seg) < 3 or seg[0] != ctx.kappa:
-        return None
-    q = 1
-    while q < len(seg) and seg[q] == ctx.lam:
-        q += 1
-    k = q - 1
-    rest = seg[q:]
-    if rest[:1] != (ctx.kappa,):
-        return None
-    gammas = rest[1:]
-    if not gammas or any(a != ctx.gamma for a in gammas):
-        return None
-    return k, len(gammas) - 1
+def _one_segment(ctx, seg, image, alphabet):
+    pairs = _segments(ctx, seg, image)
+    if len(pairs) != 1:
+        raise ValueError(f"segment {seg} is not in the {alphabet} segment alphabet")
+    return pairs[0][1]
 
 
 def g0(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
-    if len(seg) == 1:
-        return seg
-    if _is_tau_gamma(ctx, seg):
-        k = len(seg) - 1
-        return (ctx.kappa,) + (ctx.lam,) * (k - 2) + (ctx.kappa, ctx.gamma)
-    split = _split_klkg(ctx, seg)
-    if split is not None and split[1] == 0:
-        k = split[0]
-        if k == 0:
-            return (ctx.tau, ctx.gamma, ctx.gamma)
-        return (ctx.kappa,) + (ctx.lam,) * (k - 1) + (ctx.kappa, ctx.gamma, ctx.gamma)
-    raise ValueError(f"segment {seg} is not in the source segment alphabet")
+    return _one_segment(ctx, seg, False, "source")
 
 
 def g0_inverse(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
-    if len(seg) == 1:
-        return seg
-    if seg == (ctx.tau, ctx.gamma, ctx.gamma):
-        return (ctx.kappa, ctx.kappa, ctx.gamma)
-    split = _split_klkg(ctx, seg)
-    if split is not None:
-        k, extra = split
-        if extra == 0:
-            return (ctx.tau,) + (ctx.gamma,) * (k + 2)
-        if extra == 1:
-            return (ctx.kappa,) + (ctx.lam,) * (k + 1) + (ctx.kappa, ctx.gamma)
-    raise ValueError(f"segment {seg} is not in the image segment alphabet")
+    return _one_segment(ctx, seg, True, "image")
 
 
 def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:
+    if x.kappa == ctx.gamma:
+        raise ValueError("tail letter clashes with gamma")
     out = []
-    for seg in m_decompose(ctx, x):
-        out.extend(g0(ctx, seg))
+    for _, img in _segments(ctx, x.stem, False):
+        out += img
     return OmegaWord(tuple(out), x.kappa)
 
 
 def h_apply(ctx: GContext, u: OmegaWord) -> OmegaWord:
     out = []
-    for seg in m_prime_decompose(ctx, u):
-        out.extend(g0_inverse(ctx, seg))
+    for _, img in _segments(ctx, u.stem, True):
+        out += img
     return OmegaWord(tuple(out), u.kappa)

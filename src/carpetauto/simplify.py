@@ -107,21 +107,27 @@ def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> Simplificati
     """Iterate one_step until PV is empty; Class-0 input gives an empty chain.
 
     one_step relies on every relation being a partial matching, so an
-    input that is not one is rejected before the first step.
+    input that is not one is rejected before the first step.  With
+    `validate_stages` the input must also pass every cross axiom
+    (`validate`), and that one check covers every stage: a stage is the
+    input with some PV edges deleted, a subset of a partial matching is
+    one, and deleting transitions only shortens surviving times, so a
+    triple coding of a stage is a triple coding of the input too.
     """
     cls = classify(C)
     if cls.kind == "Class0":
         return SimplificationChain((C,), ())
-    problems = check_uniqueness(C)
-    if problems:
-        raise CrossAutomatonError(f"uniqueness violated: {problems}")
+    if validate_stages:
+        validate(C)
+    else:
+        problems = check_uniqueness(C)
+        if problems:
+            raise CrossAutomatonError(f"uniqueness violated: {problems}")
     stages = [C]
     steps = []
     cur, cur_cls = C, cls
     while cur.PV:
         step = one_step(cur, cur_cls)
-        if validate_stages:
-            validate(step.after)
         steps.append(step)
         stages.append(step.after)
         cur, cur_cls = step.after, step.after_class

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -137,6 +138,19 @@ def test_render(carpet_file, tmp_path):
     out = tmp_path / "c.svg"
     assert run(["render", carpet_file, "--depth", "2", "--out", str(out)]) == 0
     assert out.read_text().lstrip().startswith("<?xml")
+
+
+def test_render_refuses_a_huge_depth_before_any_work(carpet_file, capsys):
+    start = time.perf_counter()
+    assert run(["render", carpet_file, "--depth", "10000000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "depth 10000000 exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_render_refuses_a_size_below_one(carpet_file, size, capsys):
+    assert run(["render", carpet_file, "--size", size]) == 3
+    assert capsys.readouterr().err == "error: size must be positive\n"
 
 
 def test_bad_input_exit_code(tmp_path, capsys):
@@ -277,6 +291,32 @@ def test_simplify_classifies_each_stage_once(tmp_path, monkeypatch, capsys):
     assert run(["simplify", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
     assert len(calls) == 3
+
+
+def test_simplify_decides_triple_coding_once_per_chain(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "chain2.txt"
+    path.write_text(CHAIN2_CARPET.to_grid())
+    calls = spy(monkeypatch, cross, "decide_triple_coding_free")
+    assert run(["simplify", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+    assert len(calls) == 1
+
+
+def test_simplify_rejects_a_triple_coding_the_first_deletion_would_hide(tmp_path, capsys):
+    # x=2(3), y=1(2), z=3(4) is coded three ways, with times (inf, inf, 0);
+    # deleting the only PV edge (3, 2) removes the witness
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(
+        {"N": 4, "PH": [[2, 1]], "PV": [[3, 2]], "Pe1": [[3, 2]], "Pe2": [[4, 3]]}
+    ))
+    assert run(["simplify", str(path)]) == 3
+    assert "triple coding present" in capsys.readouterr().err
+
+
+def test_survive_walks_the_itinerary_once(carpet_file, monkeypatch, capsys):
+    calls = spy(monkeypatch, automaton, "surviving_time")
+    assert run(["survive", carpet_file, "1.2(3)", "2.1(3)"]) == 0
+    assert len(calls) == 1
 
 
 def test_json_with_n_goes_to_the_automaton_parser(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -132,3 +133,38 @@ def test_gamma_free_words_are_fixed():
     w = OmegaWord((5, 2, 4, 2, 5), 3)
     assert g_apply(CTX, w) == w
     assert h_apply(CTX, w) == w
+
+
+# The outcome of every public map on every short input, hashed.  The
+# digest was recorded before the segment readers were merged into one.
+PIN_CONTEXTS = (CTX, GContext(1, 2, 3, 2), GContext(2, 5, 4, 1))
+GMAP_PIN = "9b0182cd6257350d74c8f0392573176aea7de446cda0c374866b9f0e7237d832"
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def gmap_outcomes() -> str:
+    """m, m', g and h on every stem of up to 5 letters over 5 letters
+    with the tails kappa and gamma, then g0 and g0_inverse on the same
+    tuples read as segments, in each pinned context."""
+    lines = []
+    for ctx in PIN_CONTEXTS:
+        for k in range(6):
+            for stem in itertools.product(range(1, 6), repeat=k):
+                for tail in (ctx.kappa, ctx.gamma):
+                    x = OmegaWord(stem, tail)
+                    for fn in (m_decompose, m_prime_decompose, g_apply, h_apply):
+                        lines.append(_outcome(fn, ctx, x))
+                for fn in (g0, g0_inverse):
+                    lines.append(_outcome(fn, ctx, stem))
+    return "\n".join(lines)
+
+
+def test_every_short_outcome_is_pinned():
+    digest = hashlib.sha256(gmap_outcomes().encode()).hexdigest()
+    assert digest == GMAP_PIN

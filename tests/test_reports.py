@@ -3,7 +3,8 @@
 Each case runs one `carpetauto` command in-process on a fixture written
 to a file and hashes its exit code, stdout and stderr.  The digests were
 recorded before the oracle and the topology automaton were built from
-the digit-difference index, so any drift in a report, however small,
+the digit-difference index (the `gmap` ones before the segment readers
+of `gmap` became one), so any drift in a report, however small,
 changes a digest here.  Regenerate them only for a deliberate change of
 a report: `PYTHONPATH=src:tests python tests/test_reports.py`.
 """
@@ -39,6 +40,15 @@ CARPETS = {
 }
 CROSS = {"EXTENDED_9": EXTENDED_9, "CARPET_8": CARPET_8}
 WORD_PAIRS = (("(1)", "(2)"), ("2.1(3)", "1.2(3)"), ("4(1)", "3.4(2)"))
+GMAP_CONTEXTS = ("1,2,3,4", "1,2,3,2")  # the second has tau = lambda
+GMAP_WORDS = (
+    "4.1.1.1(3)",
+    "4.1.1(3)",
+    "3.3.1(3)",
+    "3.2.3.1.1.5(3)",
+    "4.1.1.1.5.3.2.3.1(3)",
+    "5.2.4(3)",
+)
 EQUIV_PAIRS = (
     ("SQUARE_VSEP_5", "SQUARE_TOP_5"),
     ("TOP_ISOLATED_11", "VSEP_11"),
@@ -63,6 +73,10 @@ def cases():
     out["survive-xi SQUARE_TOP_5"] = ["survive", "SQUARE_TOP_5", "--xi", "0.3", "(1)", "(2)"]
     for e, f in EQUIV_PAIRS:
         out[f"equiv {e} {f}"] = ["equiv", e, f]
+    for ctx in GMAP_CONTEXTS:
+        for word in GMAP_WORDS:
+            out[f"gmap {ctx} {word}"] = ["gmap", "--ctx", ctx, word]
+    out["gmap bad-context"] = ["gmap", "--ctx", "1,1,3,4", "4.1.1(3)"]
     return out
 
 
@@ -144,6 +158,19 @@ EXPECTED = {
     "equiv SQUARE_TOP_5 TOP_ISOLATED_11": "43703b670b8147fcd00829556cf7067b0456915016956dde5ad1b6abfad9d060",
     "equiv SQUARE_VSEP_5 SQUARE_TOP_5": "bd7924f38d2b74406d74a6a31eba272135378ace67ad5afa39d21714b6dbaa37",
     "equiv TOP_ISOLATED_11 VSEP_11": "ef0560181ceb6b388012c3d3e800510b4d93e7821a242b42a858cddba194490f",
+    "gmap 1,2,3,2 3.2.3.1.1.5(3)": "2cdd006951cabfde8446475bf0f25b3cd52e88a301c7902eba855a2a161e7da5",
+    "gmap 1,2,3,2 3.3.1(3)": "6f302db8b75179c0da9ad97afa9f4d051419d62264c3e64b37252c023616c737",
+    "gmap 1,2,3,2 4.1.1(3)": "904771e7c67eaaaf7df5f96cc8b86e387385042e0649872093dbafa597ae999a",
+    "gmap 1,2,3,2 4.1.1.1(3)": "bccfbfbf2597250b7ddbf5d9f2bc0320dcfa467b3dc0312dcd476adfa21df76a",
+    "gmap 1,2,3,2 4.1.1.1.5.3.2.3.1(3)": "7c6c2b88b245c96bc7bbe64f99d43b91a5cf84d2ba7b72ea747ef7db92d44b38",
+    "gmap 1,2,3,2 5.2.4(3)": "652b919da65a4bd75979c522baf7bfdfa8d695e742a71c0bbddc3fe0f0db9267",
+    "gmap 1,2,3,4 3.2.3.1.1.5(3)": "2cdd006951cabfde8446475bf0f25b3cd52e88a301c7902eba855a2a161e7da5",
+    "gmap 1,2,3,4 3.3.1(3)": "c96059d248ac2ddcf487fdfd12e0100f527a8802a1f588aea77661002582c56d",
+    "gmap 1,2,3,4 4.1.1(3)": "7f8a440bc010a7c62cd088c73326c4b6cfba7c7b0474499861a39f8b8bdcb7ca",
+    "gmap 1,2,3,4 4.1.1.1(3)": "e3190553f801bb8c260b0a82ab13c632d257b661c67e2b0a2ad542ac4287f458",
+    "gmap 1,2,3,4 4.1.1.1.5.3.2.3.1(3)": "46cdb5cae4ab654103f2b57dbd766ca4b77102695590b4e1dcfc2eb794bc9f13",
+    "gmap 1,2,3,4 5.2.4(3)": "652b919da65a4bd75979c522baf7bfdfa8d695e742a71c0bbddc3fe0f0db9267",
+    "gmap bad-context": "0682839c04c4c7649db30f20637a70aff4ec176458439ffda6ac6f85aaa7cf1e",
     "simplify BARANSKI_RATIO": "5d1214894a6f4aa15b2325f17c9cf959cbbf79fc22cc33c89eebd61ba815478b",
     "simplify CARPET_8": "838f5373c3b4ff8f609e8ef7566b26001d57144932905a76ec28d17038aafadd",
     "simplify CHAIN2_CARPET": "fb1420d4bfda789fe8aa4e268572e19aa56b94566a9a1c1ca3ad9a882cf8fa92",

@@ -10,6 +10,7 @@ step before the itinerary hits EXIT (infinity if it never does).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .words import PeriodicWord
@@ -227,6 +228,69 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
             if lhs > rhs + t0:
                 violations.append((apex, u, v, lhs, rhs))
     return violations
+
+
+def search_triples(M: SigmaAutomaton, accept):
+    """Breadth-first search for words x, y, z whose joint run a rule accepts.
+
+    A joint state (s_xy, s_xz, s_yz) holds the states of the three pairs;
+    once (y,z) exits, its component counts the steps since the exit.  Moves
+    are the input triples (i, j, k), in lexicographic order, that keep (x,y)
+    and (x,z) alive.  At each newly reached joint state js the rule
+    accept(js, moves), where moves(js) yields (triple, next joint state),
+    returns None or a tail triple.  It must accept or strand every joint
+    state at some count, so that the search ends.
+
+    Returns (True, None), or (False, (x, y, z)): a shortest path to an
+    accepted state followed by the tail's letters forever.
+    """
+    succ = M.successors()
+    inputs = {}  # state -> the letters i it reads without exiting, ascending
+    for state, i in sorted(succ, key=lambda key: key[1]):
+        inputs.setdefault(state, []).append(i)
+
+    def moves(js):
+        s1, s2, s3 = js
+        for i in inputs.get(s1, ()):
+            for j, t1 in succ[(s1, i)]:
+                for k, t2 in succ.get((s2, i), ()):
+                    t3 = M.step(s3, j, k)
+                    if t3 == EXIT:  # a count is no state, so it steps to Exit too
+                        t3 = s3 + 1 if type(s3) is int else 0
+                    yield (i, j, k), (t1, t2, t3)
+
+    start = (ID, ID, ID)
+    seen = {start: None}  # joint state -> (previous joint state, input triple)
+    frontier = deque([start])
+    while frontier:
+        js = frontier.popleft()
+        for trip, nxt in moves(js):
+            if nxt in seen:
+                continue
+            seen[nxt] = (js, trip)
+            tail = accept(nxt, moves)
+            if tail is not None:
+                path = []
+                while seen[nxt] is not None:
+                    nxt, trip = seen[nxt]
+                    path.append(trip)
+                return False, tuple(PeriodicWord(w[::-1], (c,)) for w, c in zip(zip(*path), tail))
+            frontier.append(nxt)
+    return True, None
+
+
+def decide_feasibility(M: SigmaAutomaton, t0: int):
+    """Decide min{T(x,y), T(x,z)} <= T(y,z) + t0 over all words exactly.
+
+    If (y,z) exits at step e, then T(y,z) = e - 1, and the bound fails
+    exactly when (x,y) and (x,z) are both alive at step e + t0: the search
+    accepts a count of t0, whatever the words read afterwards.  Returns
+    (True, None) or (False, (x, y, z)), a shortest violating path
+    followed by the letter 1 forever.
+    """
+    if t0 < 0:
+        raise ValueError(f"t0 must be at least 0, got {t0}")
+    return search_triples(M, lambda js, moves: (1, 1, 1) if js[2] == t0 else None)
 
 
 def random_word(rng, N: int) -> PeriodicWord:

@@ -251,16 +251,13 @@ def _selftest_oracles(rng) -> bool:
 
 
 def _selftest_feasibility(rng) -> bool:
-    from .automaton import check_feasibility, random_word
-
+    """Decide feasibility at t0 = 1 on 5 random carpets; print a witness."""
     for _ in range(5):
         spec = random_carpet(rng)
-        M = build_topology_automaton(spec)
-        triples = [
-            tuple(random_word(rng, spec.alphabet_size) for _ in range(3))
-            for _ in range(200)
-        ]
-        if check_feasibility(M, 1, triples):
+        ok, witness = automaton_mod.decide_feasibility(build_topology_automaton(spec), 1)
+        if not ok:
+            x, y, z = witness
+            print(f"carpet\n{spec.to_grid()}\nviolates feasibility at t0 = 1 with x={x} y={y} z={z}")
             return False
     return True
 

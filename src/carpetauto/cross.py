@@ -9,11 +9,9 @@ at e2); the mirrored halves follow by transposition.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
-from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, json_field, json_int
-from .words import PeriodicWord
+from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, json_field, json_int, search_triples
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -143,65 +141,25 @@ def decide_triple_coding_free(C: CrossAutomaton):
     """Search for distinct x, y, z with two infinite pairwise times.
 
     Two of the three pairs always share a word; by symmetry of the
-    automaton take the shared word as x.  Track the three itineraries of
-    (x,y), (x,z), (y,z) jointly over inputs (i, j, k).  Self-looping
+    automaton take the shared word as x.  `automaton.search_triples`
+    tracks the itineraries of (x,y), (x,z), (y,z) jointly.  Self-looping
     makes an offset state permanent until exit, so a violation exists iff
     some joint state with both shared-word components in loop states (and
     the third off Id) is reachable and has one input triple keeping both
-    alive; repeating that triple forever finishes the witness.
+    alive; repeating that triple forever finishes the witness.  Every
+    move from such a state is one, so the search never counts past the
+    step at which (y,z) exits.
 
     Returns (True, None) when the condition holds, else (False, witness)
     with a witness triple of eventually-constant words.
     """
-    M = C.induced_automaton()
-    succ = M.successors()
-    inputs = {}  # state -> the letters i it reads without exiting, ascending
-    for state, i in sorted(succ, key=lambda key: key[1]):
-        inputs.setdefault(state, []).append(i)
 
-    def moves(js):
-        """Inputs (i, j, k) keeping (x,y) and (x,z) alive, in lexicographic
-        order, each with the joint state it leads to."""
-        s1, s2, s3 = js
-        for i in inputs.get(s1, ()):
-            for j, t1 in succ[(s1, i)]:
-                for k, t2 in succ.get((s2, i), ()):
-                    yield (i, j, k), (t1, t2, M.step(s3, j, k))
+    def sustained(js, moves):
+        if ID not in js:
+            return next((t for t, (u1, u2, _) in moves(js) if (u1, u2) == js[:2]), None)
+        return None
 
-    start = (ID, ID, ID)
-    seen = {start: None}  # joint state -> (previous joint state, input triple)
-    frontier = deque([start])
-    while frontier:
-        js = frontier.popleft()
-        for trip, nxt in moves(js):
-            if nxt in seen:
-                continue
-            seen[nxt] = (js, trip)
-            if ID not in nxt:
-                # a sustaining input keeps both shared-word components in place
-                loop = next((t for t, (u1, u2, _) in moves(nxt) if (u1, u2) == nxt[:2]), None)
-                if loop is not None:
-                    return False, _witness(seen, nxt, loop)
-            frontier.append(nxt)
-    return True, None
-
-
-def _witness(seen, js, loop):
-    path = []
-    cur = js
-    while seen[cur] is not None:
-        prev, trip = seen[cur]
-        path.append(trip)
-        cur = prev
-    path.reverse()
-    xs = tuple(t[0] for t in path)
-    ys = tuple(t[1] for t in path)
-    zs = tuple(t[2] for t in path)
-    return (
-        PeriodicWord(xs, (loop[0],)),
-        PeriodicWord(ys, (loop[1],)),
-        PeriodicWord(zs, (loop[2],)),
-    )
+    return search_triples(C.induced_automaton(), sustained)
 
 
 def validate(C: CrossAutomaton):

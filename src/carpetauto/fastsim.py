@@ -74,7 +74,7 @@ def stems_to_array(stems, tails, steps: int):
 PAIR_BLOCK = 2**18
 
 
-def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
+def time_matrix(M: SigmaAutomaton, stems, tails):
     """All-pairs surviving times for words stem_r followed by tail_r forever.
 
     Once both inputs are constant the itinerary revisits a state within
@@ -93,15 +93,13 @@ def time_matrix(M: SigmaAutomaton, stems, tails, extra: int | None = None):
     changes again and survives to the horizon: stopping there gives the
     same matrix.
     """
-    if extra is None:
-        extra = len(M.states) + 1
     stem_len = max(map(len, stems), default=0)
-    steps = stem_len + extra
+    steps = stem_len + len(M.states) + 1
     tab, id_idx, exit_idx = transition_table(M)
     X = stems_to_array(stems, tails, steps)
     W = len(stems)
-    if not W or not steps:  # no pair, or no step taken: every pair is alive
-        return np.full((W, W), INF, dtype=np.int64)
+    if not W:
+        return np.empty((0, 0), dtype=np.int64)
     T = np.empty((W, W), dtype=np.int64)
     # A state s is held as its offset s*L*L into the flattened table, so
     # one take reads tab[s, i, j] at s*L*L + i*L + j.

@@ -111,16 +111,22 @@ def _segments(ctx: GContext, s: tuple[int, ...], image: bool):
     return out
 
 
-def m_decompose(ctx: GContext, x: OmegaWord) -> list[tuple[int, ...]]:
-    """The source segments of the stem; the kappa tail is all singletons."""
+def _word_segments(ctx: GContext, x: OmegaWord, image: bool):
+    """The segments of x's stem with their images.  A multi-letter segment
+    ends in gamma, so a gamma tail, which could extend one, is refused."""
     if x.kappa == ctx.gamma:
         raise ValueError("tail letter clashes with gamma")
-    return [seg for seg, _ in _segments(ctx, x.stem, False)]
+    return _segments(ctx, x.stem, image)
+
+
+def m_decompose(ctx: GContext, x: OmegaWord) -> list[tuple[int, ...]]:
+    """The source segments of the stem."""
+    return [seg for seg, _ in _word_segments(ctx, x, False)]
 
 
 def m_prime_decompose(ctx: GContext, u: OmegaWord) -> list[tuple[int, ...]]:
     """The image segments of the stem."""
-    return [seg for seg, _ in _segments(ctx, u.stem, True)]
+    return [seg for seg, _ in _word_segments(ctx, u, True)]
 
 
 def _one_segment(ctx, seg, image, alphabet):
@@ -139,16 +145,14 @@ def g0_inverse(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:
-    if x.kappa == ctx.gamma:
-        raise ValueError("tail letter clashes with gamma")
     out = []
-    for _, img in _segments(ctx, x.stem, False):
+    for _, img in _word_segments(ctx, x, False):
         out += img
     return OmegaWord(tuple(out), x.kappa)
 
 
 def h_apply(ctx: GContext, u: OmegaWord) -> OmegaWord:
     out = []
-    for _, img in _segments(ctx, u.stem, True):
+    for _, img in _word_segments(ctx, u, True):
         out += img
     return OmegaWord(tuple(out), u.kappa)

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import SigmaAutomaton, is_infinite, surviving_time
+from .automaton import ID, SigmaAutomaton, decide_feasibility, is_infinite, surviving_time
+from .errors import InternalError
 from .geometry import project
 from .words import PeriodicWord
 
 
 class IntransitivitySample(ValueError):
-    """Zero-distance relation failed to be transitive on a sample."""
+    """The zero-distance relation of an automaton is not transitive."""
 
 
 @dataclass(frozen=True)
@@ -140,33 +141,43 @@ def check_projection_bounds(spec, M: SigmaAutomaton, pairs, depth: int | None = 
 def quotient_classes(M: SigmaAutomaton, words):
     """Partition words by zero pseudo-distance (infinite surviving time).
 
-    The relation is verified to be transitive on the sample; a failure
-    means the automaton does not induce a pseudo-metric and is reported
-    as an error rather than silently merged.
+    M is mirror-symmetric, as topology and cross automata are, so T is
+    symmetric.  Zero distance fails to be transitive exactly when M
+    violates feasibility at t0 = P = (|states| - 1)^2, the number of
+    pairs of live states.  An intransitive triple has T(x,y) = T(x,z) = ∞
+    and a finite T(y,z), a violation for every t0.  Conversely, in a
+    violation at P, (y,z) exits at some step e and (x,y), (x,z) stay
+    alive up to step e + P, so among those P + 1 steps two steps a < b
+    see the same pair of states.  Reading the first a inputs and then
+    the inputs of steps a+1..b forever gives T(x,y) = T(x,z) = ∞ with
+    T(y,z) = e - 1.  That triple is raised as IntransitivitySample.
+
+    Otherwise each word joins the class of the first related class
+    leader.  Classes are ordered by their last word.
     """
+    P = (len(M.states) - 1) ** 2
+    ok, witness = decide_feasibility(M, P)
+    if not ok:
+        raise IntransitivitySample(_pumped(M, P, *witness))
     words = list(words)
-    related = {}
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            related[(a, b)] = is_infinite(surviving_time(M, words[a], words[b]))
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            for c in range(b + 1, len(words)):
-                flags = (related[(a, b)], related[(a, c)], related[(b, c)])
-                if sum(flags) == 2:
-                    raise IntransitivitySample((words[a], words[b], words[c]))
-    parent = list(range(len(words)))
+    classes = []  # lists of indices into words
+    for b, w in enumerate(words):
+        group = next((c for c in classes if is_infinite(surviving_time(M, words[c[0]], w))), None)
+        if group is None:
+            classes.append(group := [])
+        group.append(b)
+    classes.sort(key=lambda c: c[-1])
+    return [tuple(words[b] for b in c) for c in classes]
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for (a, b), rel in related.items():
-        if rel:
-            parent[find(a)] = find(b)
-    classes = {}
-    for idx, w in enumerate(words):
-        classes.setdefault(find(idx), []).append(w)
-    return [tuple(group) for _, group in sorted(classes.items())]
+def _pumped(M: SigmaAutomaton, P: int, x, y, z):
+    """The pumped intransitive triple of a feasibility violation at t0 = P."""
+    e = surviving_time(M, y, z) + 1
+    first = {}  # pair of states at a step >= e -> that step
+    sxy = sxz = ID
+    for b in range(1, e + P + 1):
+        sxy = M.step(sxy, x.letter(b), y.letter(b))
+        sxz = M.step(sxz, x.letter(b), z.letter(b))
+        if b >= e and (a := first.setdefault((sxy, sxz), b)) < b:
+            return tuple(PeriodicWord(w.prefix(a), w.prefix(b)[a:]) for w in (x, y, z))
+    raise InternalError("a feasibility violation at t0 = P repeats no pair of states")

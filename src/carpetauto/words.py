@@ -71,9 +71,6 @@ class PeriodicWord:
         r = (k - len(self.preperiod)) % len(self.period)
         return PeriodicWord((), self.period[r:] + self.period[:r])
 
-    def max_letter(self) -> int:
-        return max(self.preperiod + self.period)
-
     def __str__(self) -> str:
         head = ".".join(str(a) for a in self.preperiod)
         tail = "(" + ".".join(str(a) for a in self.period) + ")"

@@ -90,8 +90,9 @@ def periodic_matrix(M, words, horizon):
     at the horizon are genuinely infinite.
     """
     stems = [tuple(w.letter(k) for k in range(1, horizon + 1)) for w in words]
-    tails = [s[-1] for s in stems]
-    return time_matrix(M, stems, tails, extra=0)
+    T = time_matrix(M, stems, [s[-1] for s in stems])
+    # the letters past the horizon are made up: a time that reaches it is INF
+    return np.where(T >= horizon, INF, T)
 
 
 # --- criterion 1: feasibility on random carpets -------------------------

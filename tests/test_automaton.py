@@ -10,6 +10,7 @@ from carpetauto.automaton import (
     SigmaAutomaton,
     build_topology_automaton,
     check_feasibility,
+    decide_feasibility,
     from_json,
     is_infinite,
     mirror_check,
@@ -22,10 +23,19 @@ from carpetauto.automaton import (
     to_json,
 )
 from carpetauto.carpet import CarpetError, CarpetSpec
+from carpetauto.cli import random_carpet
+from carpetauto.fastsim import check_feasibility_matrix, time_matrix
 from carpetauto.geometry import chain_survivors
 from carpetauto.words import PeriodicWord, parse_word
 
-from conftest import SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11
+from conftest import (
+    CARPET_8,
+    EXTENDED_9,
+    SQUARE_TOP_5,
+    SQUARE_VSEP_5,
+    TOP_ISOLATED_11,
+    VSEP_11,
+)
 
 
 def test_state_names_round_trip():
@@ -138,6 +148,51 @@ def test_feasibility_holds_on_carpet_automata():
             for _ in range(150)
         ]
         assert check_feasibility(M, 1, triples) == []
+
+
+def violation_times(M, x, y, z, t0):
+    """The times (T(x,y), T(x,z), T(y,z)), asserting that they violate
+    min{T(x,y), T(x,z)} <= T(y,z) + t0."""
+    times = (surviving_time(M, x, y), surviving_time(M, x, z), surviving_time(M, y, z))
+    assert min(times[:2]) > times[2] + t0, (x, y, z, times)
+    return times
+
+
+def test_decide_feasibility_on_the_two_cross_fixtures():
+    M = EXTENDED_9.induced_automaton()
+    ok, (x, y, z) = decide_feasibility(M, 1)
+    assert not ok
+    assert (str(x), str(y), str(z)) == ("1.5.5(1)", "1.9(1)", "2(1)")
+    assert violation_times(M, x, y, z, 1) == (3, 3, 1)
+    assert decide_feasibility(CARPET_8.induced_automaton(), 1) == (True, None)
+    with pytest.raises(ValueError):
+        decide_feasibility(M, -1)
+
+
+def test_decide_feasibility_agrees_with_the_time_matrix_count():
+    # a pool of every word with a stem of at most two letters; an exact
+    # "feasible" must see no violation in it, and an exact witness must
+    # violate the bound and, added to the pool, make the count positive
+    rng = random.Random(1010)
+    verdicts = []
+    for _ in range(40):
+        spec = random_carpet(rng, max_div=4, max_digits=7)
+        M = build_topology_automaton(spec)
+        N = spec.alphabet_size
+        pool = [((), c) for c in range(1, N + 1)]
+        pool += [((a,), c) for a in range(1, N + 1) for c in range(1, N + 1) if a != c]
+        pool += [((a, b), c) for a in range(1, N + 1) for b in range(1, N + 1)
+                 for c in range(1, N + 1) if b != c]
+        for t0 in (0, 1, 2):
+            ok, witness = decide_feasibility(M, t0)
+            verdicts.append(ok)
+            extra = []
+            if not ok:
+                violation_times(M, *witness, t0)
+                extra = [(w.preperiod, w.period[0]) for w in witness]
+            T = time_matrix(M, [s for s, _ in pool + extra], [c for _, c in pool + extra])
+            assert (check_feasibility_matrix(T, t0) == 0) == ok, (spec, t0)
+    assert True in verdicts and False in verdicts
 
 
 def test_json_round_trip():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetauto import automaton, cross, geometry
+from carpetauto import automaton, cli, cross, geometry
 from carpetauto.carpet import CarpetSpec
 from carpetauto.cli import build_parser, run
 from carpetauto.errors import InternalError
@@ -457,6 +457,14 @@ def test_selftest_fast(capsys):
     out = capsys.readouterr().out
     assert "all selftests passed" in out
     assert out.count("PASS") == 4
+
+
+def test_selftest_prints_the_feasibility_witness(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_topology_automaton", lambda spec: EXTENDED_9.induced_automaton())
+    assert run(["selftest", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL feasibility" in out
+    assert "x=1.5.5(1) y=1.9(1) z=2(1)" in out
 
 
 def test_console_script_entry_point(carpet_file):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -148,6 +148,66 @@ def test_triple_coding_decision_matches_word_enumeration():
     verdicts = [decide_triple_coding_free(C)[0] for C in samples]
     assert verdicts == [brute(C) for C in samples]
     assert True in verdicts[2:] and False in verdicts[2:]
+
+
+def reference_triple_coding_free(C):
+    """The hand-written search that decide_triple_coding_free ran before
+    it became a rule of automaton.search_triples, kept as a reference."""
+    M = C.induced_automaton()
+    succ = M.successors()
+    inputs = {}
+    for state, i in sorted(succ, key=lambda key: key[1]):
+        inputs.setdefault(state, []).append(i)
+
+    def moves(js):
+        s1, s2, s3 = js
+        for i in inputs.get(s1, ()):
+            for j, t1 in succ[(s1, i)]:
+                for k, t2 in succ.get((s2, i), ()):
+                    yield (i, j, k), (t1, t2, M.step(s3, j, k))
+
+    start = (ID, ID, ID)
+    seen = {start: None}
+    frontier = deque([start])
+    while frontier:
+        js = frontier.popleft()
+        for trip, nxt in moves(js):
+            if nxt in seen:
+                continue
+            seen[nxt] = (js, trip)
+            if ID not in nxt:
+                loop = next((t for t, (u1, u2, _) in moves(nxt) if (u1, u2) == nxt[:2]), None)
+                if loop is not None:
+                    path = []
+                    cur = nxt
+                    while seen[cur] is not None:
+                        cur, trip = seen[cur]
+                        path.append(trip)
+                    path.reverse()
+                    return False, tuple(
+                        PeriodicWord(tuple(t[r] for t in path), (loop[r],)) for r in range(3)
+                    )
+            frontier.append(nxt)
+    return True, None
+
+
+def test_triple_coding_search_matches_the_reference_search():
+    rng = random.Random(2026)
+    samples = [EXTENDED_9, CARPET_8]
+    while len(samples) < 2002:
+        N = rng.randint(2, 6)
+        pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+        try:
+            samples.append(CrossAutomaton(N, *(set(rng.sample(pairs, rng.randint(0, N + 1)))
+                                               for _ in range(4))))
+        except CrossAutomatonError:
+            continue
+    verdicts = Counter()
+    for C in samples:
+        got = decide_triple_coding_free(C)
+        assert repr(got) == repr(reference_triple_coding_free(C)), C
+        verdicts[got[0]] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 def test_touches_and_has_cycle():

@@ -59,21 +59,14 @@ def scalar_times(M, stems, tails):
 
 
 def assert_matches_scalar(M, stems, tails):
-    """time_matrix equals the scalar times, for the default and truncated horizons.
-
-    A horizon of `steps` steps reads a time of `steps` or more as INF.
-    """
+    """time_matrix equals the scalar times, with INF for INFINITE."""
     times = scalar_times(M, stems, tails)
-    for extra in (None, 0, 1, 3):
-        T = time_matrix(M, stems, tails, extra)
-        steps = max((len(s) for s in stems), default=0)
-        steps += len(M.states) + 1 if extra is None else extra
-        expected = np.array(
-            [[INF if is_infinite(t) or t >= steps else t for t in row] for row in times],
-            dtype=np.int64,
-        )
-        assert T.dtype == np.int64
-        assert np.array_equal(T, expected), (M, extra)
+    T = time_matrix(M, stems, tails)
+    expected = np.array(
+        [[INF if is_infinite(t) else t for t in row] for row in times], dtype=np.int64
+    )
+    assert T.dtype == np.int64
+    assert np.array_equal(T, expected), M
 
 
 def test_time_matrix_matches_surviving_time_on_random_carpets():
@@ -116,22 +109,17 @@ def test_time_matrix_runs_on_while_a_constant_pair_cycles():
     assert_matches_scalar(M, stems, tails)
 
 
-def test_time_matrix_of_an_empty_pool_and_of_zero_steps():
+def test_time_matrix_of_an_empty_pool_and_of_empty_stems():
     M = build_topology_automaton(CarpetSpec(3, 3, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 2))))
     T = time_matrix(M, [], [])
     assert T.shape == (0, 0) and T.dtype == np.int64
-    # all stems empty and extra=0: no step is taken, so every pair is INF
-    T = time_matrix(M, [(), (), ()], [1, 2, 5], extra=0)
-    assert T.dtype == np.int64
-    assert np.array_equal(T, np.full((3, 3), INF))
+    assert_matches_scalar(M, [(), (), ()], [1, 2, 5])
 
 
-def dense_time_matrix(M, stems, tails, extra=None):
+def dense_time_matrix(M, stems, tails):
     """Reference: every one of the W x W pairs advances one letter a step
     through the whole horizon, and the survivors at the horizon are INF."""
-    if extra is None:
-        extra = len(M.states) + 1
-    steps = max((len(s) for s in stems), default=0) + extra
+    steps = max((len(s) for s in stems), default=0) + len(M.states) + 1
     states = sorted(M.states, key=repr)
     index = {s: k for k, s in enumerate(states)}
     gone = index[EXIT]
@@ -172,10 +160,9 @@ def test_time_matrix_matches_the_dense_stepping_loop():
         if trial % 3 == 1:  # a shared prefix: steps 1 and 2 change no state
             stems = [(2, 2) + s for s in stems]
         tails = [rng.randint(1, N) for _ in stems]
-        for extra in (None, 0, 1, 3):
-            T = time_matrix(M, stems, tails, extra)
-            assert T.dtype == np.int64
-            assert np.array_equal(T, dense_time_matrix(M, stems, tails, extra)), (trial, extra)
+        T = time_matrix(M, stems, tails)
+        assert T.dtype == np.int64
+        assert np.array_equal(T, dense_time_matrix(M, stems, tails)), trial
 
 
 def test_time_matrix_of_a_pool_wider_than_one_band():

@@ -135,10 +135,21 @@ def test_gamma_free_words_are_fixed():
     assert h_apply(CTX, w) == w
 
 
+def test_every_map_refuses_a_gamma_tail():
+    # a gamma tail would continue the image segment kappa kappa gamma past
+    # the stem, so h would map 3.3(1) to 3.3(1) and g would refuse that
+    x = OmegaWord((3, 3), CTX.gamma)
+    for fn in (m_decompose, m_prime_decompose, g_apply, h_apply):
+        with pytest.raises(ValueError, match="tail letter clashes with gamma"):
+            fn(CTX, x)
+
+
 # The outcome of every public map on every short input, hashed.  The
-# digest was recorded before the segment readers were merged into one.
+# digest was recorded before the segment readers were merged into one,
+# and again when m' and h began to refuse a gamma tail as m and g do:
+# that changed exactly the m' and h outcomes of the gamma tails.
 PIN_CONTEXTS = (CTX, GContext(1, 2, 3, 2), GContext(2, 5, 4, 1))
-GMAP_PIN = "9b0182cd6257350d74c8f0392573176aea7de446cda0c374866b9f0e7237d832"
+GMAP_PIN = "ecfa9f8b41ae52498a09d4f709631150904b7ebccfd982a499f1329efcb48343"
 
 
 def _outcome(fn, *args) -> str:

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from carpetauto.automaton import build_topology_automaton, is_infinite, random_word
+from carpetauto.automaton import build_topology_automaton, is_infinite, random_word, surviving_time
 from carpetauto.metric import (
     HolderScale,
+    IntransitivitySample,
     check_projection_bounds,
     holder_scale,
     quotient_classes,
@@ -18,7 +19,16 @@ from carpetauto.metric import (
 )
 from carpetauto.words import PeriodicWord, parse_word
 
-from conftest import BARANSKI_RATIO, PROJECTION_CARPETS, SQUARE_TOP_5, src_env
+from conftest import (
+    BARANSKI_RATIO,
+    EXTENDED_9,
+    PROJECTION_CARPETS,
+    SQUARE_TOP_5,
+    SQUARE_VSEP_5,
+    TOP_ISOLATED_11,
+    VSEP_11,
+    src_env,
+)
 
 
 def test_holder_scale_of_uniform_carpet():
@@ -158,3 +168,52 @@ def test_quotient_classes_on_random_sample():
     words = list({random_word(rng, 5) for _ in range(40)})
     classes = quotient_classes(M, words)
     assert sum(len(c) for c in classes) == len(words)
+
+
+def reference_quotient_classes(M, words):
+    """The classes by union-find over all pairs, as quotient_classes
+    found them before it decided transitivity exactly."""
+    words = list(words)
+    parent = list(range(len(words)))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a in range(len(words)):
+        for b in range(a + 1, len(words)):
+            if is_infinite(surviving_time(M, words[a], words[b])):
+                parent[find(a)] = find(b)
+    classes = {}
+    for idx, w in enumerate(words):
+        classes.setdefault(find(idx), []).append(w)
+    return [tuple(group) for _, group in sorted(classes.items())]
+
+
+def test_quotient_classes_match_the_union_find_classes():
+    rng = random.Random(77)
+    merged = 0
+    for spec in (SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11):
+        M = build_topology_automaton(spec)
+        N = spec.alphabet_size
+        for _ in range(5):
+            words = [random_word(rng, N) for _ in range(30)]
+            # 1(3) and 2(1) code one point of SQUARE_TOP_5
+            words += [parse_word("1(3)"), parse_word("2(1)")]
+            rng.shuffle(words)
+            classes = quotient_classes(M, words)
+            assert classes == reference_quotient_classes(M, words)
+            merged += len(words) - len(classes)
+    assert merged > 0
+
+
+def test_quotient_classes_refuse_an_intransitive_automaton_on_any_sample():
+    # two words with distinct constant tails: no triple of the sample is
+    # intransitive, but the automaton has one, and it is raised
+    M = EXTENDED_9.induced_automaton()
+    with pytest.raises(IntransitivitySample) as exc:
+        quotient_classes(M, [parse_word("(1)"), parse_word("(2)")])
+    x, y, z = exc.value.args[0]
+    times = [surviving_time(M, x, y), surviving_time(M, x, z), surviving_time(M, y, z)]
+    assert is_infinite(times[0]) and is_infinite(times[1]) and not is_infinite(times[2])

@@ -42,12 +42,11 @@ def stems_to_array(stems, tails, steps: int):
 
     Letters are stored as uint8, so they must lie in 0..MAX_LETTER (255);
     any other letter raises ValueError, which names the first one in row
-    order.  Stems longer than `steps` are cut to `steps` letters.
+    order.  A stem longer than `steps` raises ValueError.
     """
     lengths = np.fromiter(map(len, stems), np.intp, len(stems))
     if lengths.max(initial=0) > steps:
-        stems = [s[:steps] for s in stems]
-        lengths = np.minimum(lengths, steps)
+        raise ValueError(f"a stem of {lengths.max()} letters exceeds {steps} steps")
     pad = steps - lengths
     in_stem = np.arange(steps) < lengths[:, None]
     X = np.empty(in_stem.shape, dtype=np.int64)

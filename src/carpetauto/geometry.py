@@ -20,13 +20,16 @@ index.  `offset_successors` and `chain_survivors` keep the direct loop
 over digit pairs as an independent reference.
 
 `project` maps a word to the corner of its depth-k cylinder.  The value
-is exact: it is computed in integers scaled by the lcm of each axis's
+is exact: it is computed in integers scaled by the lcm D of each axis's
 ratio denominators, and returned as one Fraction per coordinate.
+`projector(spec, depth)` builds the per-letter integer tables once and
+returns the fold from a word to its scaled corner (Sx, Sy) over the
+denominators (Dx^depth, Dy^depth); a caller that projects many words at
+one depth calls it once, and `project` runs the fold for a single word.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,32 +124,51 @@ def project(spec: "CarpetSpec", word: "PeriodicWord", depth: int):
     """Approximate π(word) by the corner of the depth-k cylinder.
 
     Returns ((x, y), err): the exact rational corner and a float error
-    bound of (max ratio)^depth per coordinate.  The corner is computed in
-    scaled integers.  With D the lcm of an axis's ratio denominators, the
-    cell widths a = r*D and left edges b = left*D are integers, and folding
-    S <- S*D + W*b[d], W <- W*a[d] over the first `depth` letters gives the
-    coordinate S / D^depth, the same rational as the sum of products.
+    bound of (max ratio)^depth per coordinate, from `projector`.
+    """
+    corner, (dx, dy), err = projector(spec, depth)
+    sx, sy = corner(word)
+    return (Fraction(sx, dx), Fraction(sy, dy)), err
+
+
+def projector(spec: "CarpetSpec", depth: int):
+    """(corner, (Dx^depth, Dy^depth), err) for projecting words at one depth.
+
+    corner(word) returns the integers (Sx, Sy) whose quotients by the
+    denominators are the exact corner of the word's depth-k cylinder, and
+    err is the float bound (max ratio)^depth per coordinate.  With D the
+    lcm of an axis's ratio denominators, the cell widths a = r*D and left
+    edges b = left*D are integers, and folding S <- S*D + W*b[d],
+    W <- W*a[d] over the first `depth` letters gives the coordinate
+    S / D^depth, the same rational as the sum of products.  The tables
+    are built here once; corner() refuses a word with a letter outside
+    the alphabet.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     N = len(spec.digits)
-    letters = word.preperiod + word.period
-    if min(letters) < 1 or max(letters) > N:
-        raise ValueError(f"word {word} has letters outside the alphabet 1..{N}")
     dx, ax, bx, fx = _scaled(spec.horizontal_ratios())
     dy, ay, by, fy = _scaled(spec.vertical_ratios())
-    sx = sy = 0
-    wx = wy = 1
-    for letter in word.prefix(depth):
-        d1, d2 = spec.digits[letter - 1]
-        sx = sx * dx + wx * bx[d1]
-        sy = sy * dy + wy * by[d2]
-        wx *= ax[d1]
-        wy *= ay[d2]
-    return (Fraction(sx, dx**depth), Fraction(sy, dy**depth)), max(fx, fy) ** depth
+    # table[letter] = (b_x, a_x, b_y, a_y) of the letter's digit
+    table = [None] + [(bx[d1], ax[d1], by[d2], ay[d2]) for d1, d2 in spec.digits]
+
+    def corner(word: "PeriodicWord"):
+        letters = word.preperiod + word.period
+        if min(letters) < 1 or max(letters) > N:
+            raise ValueError(f"word {word} has letters outside the alphabet 1..{N}")
+        sx = sy = 0
+        wx = wy = 1
+        for letter in word.prefix(depth):
+            lx, cx, ly, cy = table[letter]
+            sx = sx * dx + wx * lx
+            sy = sy * dy + wy * ly
+            wx *= cx
+            wy *= cy
+        return sx, sy
+
+    return corner, (dx**depth, dy**depth), max(fx, fy) ** depth
 
 
-@functools.lru_cache(maxsize=64)
 def _scaled(ratios):
     """(D, widths*D, left edges*D, float(max ratio)) for one axis's ratios."""
     D = math.lcm(*(r.denominator for r in ratios))

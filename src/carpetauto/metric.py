@@ -12,14 +12,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import ID, SigmaAutomaton, decide_feasibility, is_infinite, surviving_time
+from .automaton import ID, SigmaAutomaton, decide_feasibility, is_infinite, mirror_check, surviving_time
 from .errors import InternalError
-from .geometry import project
+from .geometry import projector
 from .words import PeriodicWord
 
 
 class IntransitivitySample(ValueError):
     """The zero-distance relation of an automaton is not transitive."""
+
+
+class AsymmetricAutomaton(ValueError):
+    """The automaton is not mirror-symmetric, so its T is not symmetric."""
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,8 @@ def rho(M: SigmaAutomaton, xi: float, x: PeriodicWord, y: PeriodicWord) -> Pseud
     return PseudoDistance(0.0 if is_infinite(t) else xi**t, t)
 
 
-def _proj_depth(spec) -> int:
+def _proj_depth(r_star: float) -> int:
     """Depth making the projection truncation slack below 1e-9."""
-    r_star = float(max(spec.horizontal_ratios() + spec.vertical_ratios()))
     depth = 1
     while 2 * r_star**depth >= 1e-9:
         depth += 1
@@ -108,19 +111,26 @@ def check_projection_bounds(spec, M: SigmaAutomaton, pairs, depth: int | None = 
     truncation slack).  The lower bound has no explicit constant, so the
     largest c with |pi(x)-pi(y)| >= c (rSub)^(T+1) across the sample is
     fitted and reported.
+
+    The per-letter tables of `geometry.projector` are built once per call.
+    Each word projects to scaled integers over the common denominators
+    (Dx^depth, Dy^depth), and the distance is taken from their integer
+    differences: an int / int true division is correctly rounded, so each
+    coordinate difference is the float of the exact rational difference.
     """
     scale = holder_scale(spec)
     if depth is None:
-        depth = _proj_depth(spec)
+        depth = _proj_depth(float(scale.r_star))
+    corner, (dx, dy), err = projector(spec, depth)
+    eps = 2 * err + 1e-12
     records = []
     violations = 0
     fitted = None
     xi = scale.xi
     for x, y in pairs:
-        (px, py), err = project(spec, x, depth)
-        (qx, qy), _ = project(spec, y, depth)
-        dist = math.hypot(float(px - qx), float(py - qy))
-        eps = 2 * err + 1e-12
+        sx, sy = corner(x)
+        ux, uy = corner(y)
+        dist = math.hypot((sx - ux) / dx, (sy - uy) / dy)
         t = surviving_time(M, x, y)
         if is_infinite(t):
             ok = dist <= math.sqrt(2) * eps
@@ -141,20 +151,23 @@ def check_projection_bounds(spec, M: SigmaAutomaton, pairs, depth: int | None = 
 def quotient_classes(M: SigmaAutomaton, words):
     """Partition words by zero pseudo-distance (infinite surviving time).
 
-    M is mirror-symmetric, as topology and cross automata are, so T is
-    symmetric.  Zero distance fails to be transitive exactly when M
-    violates feasibility at t0 = P = (|states| - 1)^2, the number of
-    pairs of live states.  An intransitive triple has T(x,y) = T(x,z) = ∞
-    and a finite T(y,z), a violation for every t0.  Conversely, in a
-    violation at P, (y,z) exits at some step e and (x,y), (x,z) stay
-    alive up to step e + P, so among those P + 1 steps two steps a < b
-    see the same pair of states.  Reading the first a inputs and then
-    the inputs of steps a+1..b forever gives T(x,y) = T(x,z) = ∞ with
-    T(y,z) = e - 1.  That triple is raised as IntransitivitySample.
+    M must be mirror-symmetric, as topology and cross automata are, so
+    that T is symmetric; otherwise AsymmetricAutomaton is raised.  Zero
+    distance fails to be transitive exactly when M violates feasibility
+    at t0 = P = (|states| - 1)^2, the number of pairs of live states.  An
+    intransitive triple has T(x,y) = T(x,z) = ∞ and a finite T(y,z), a
+    violation for every t0.  Conversely, in a violation at P, (y,z) exits
+    at some step e and (x,y), (x,z) stay alive up to step e + P, so among
+    those P + 1 steps two steps a < b see the same pair of states.
+    Reading the first a inputs and then the inputs of steps a+1..b
+    forever gives T(x,y) = T(x,z) = ∞ with T(y,z) = e - 1.  That triple
+    is raised as IntransitivitySample.
 
     Otherwise each word joins the class of the first related class
     leader.  Classes are ordered by their last word.
     """
+    if not mirror_check(M):
+        raise AsymmetricAutomaton("quotient classes need a mirror-symmetric automaton")
     P = (len(M.states) - 1) ** 2
     ok, witness = decide_feasibility(M, P)
     if not ok:

@@ -62,7 +62,11 @@ class PeriodicWord:
         return self.period[(k - 1 - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, k: int) -> tuple[int, ...]:
-        return tuple(self.letter(i) for i in range(1, k + 1))
+        """The first k letters: the preperiod, then enough whole periods."""
+        if k < 0:
+            raise IndexError(k)
+        pre, per = self.preperiod, self.period
+        return (pre + per * -(-(k - len(pre)) // len(per)))[:k]
 
     def shift(self, k: int = 1) -> "PeriodicWord":
         """Drop the first k letters."""

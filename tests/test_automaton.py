@@ -25,7 +25,7 @@ from carpetauto.automaton import (
 from carpetauto.carpet import CarpetError, CarpetSpec
 from carpetauto.cli import random_carpet
 from carpetauto.fastsim import check_feasibility_matrix, time_matrix
-from carpetauto.geometry import chain_survivors
+from carpetauto.geometry import build_oracle, chain_survivors
 from carpetauto.words import PeriodicWord, parse_word
 
 from conftest import (
@@ -73,11 +73,17 @@ def test_topology_automaton_of_square_fixture():
 
 
 def test_unreachable_states_are_pruned():
-    M = build_topology_automaton(SQUARE_VSEP_5)
-    for s in M.states:
-        if s in (ID, EXIT):
-            continue
-        assert any(t == s for t in M.delta.values())
+    # .#/../.#: the oracle keeps ±e2, but no letter pair leads Id to them
+    unreached = CarpetSpec(2, 3, ((1, 0), (1, 2)))
+    e2 = {(0, 1), (0, -1)}
+    assert e2 <= build_oracle(unreached.companion()).survivors
+    for spec, pruned in ((SQUARE_VSEP_5, set()), (unreached, e2)):
+        M = build_topology_automaton(spec)
+        assert not pruned & M.states
+        reached = {ID}
+        while grown := {t for (s, _, _), t in M.delta.items() if s in reached} - reached:
+            reached |= grown
+        assert M.states - {EXIT} <= reached
 
 
 def test_surviving_time_values():

@@ -33,14 +33,18 @@ def test_letters_outside_uint8_are_rejected():
             stems_to_array(stems, tails, 3)
 
 
-def test_stems_to_array_cuts_stems_longer_than_steps():
-    X = stems_to_array([(1, 2, 3, 4), (5,), ()], [6, 7, 8], 2)
+def test_stems_to_array_refuses_stems_longer_than_steps():
+    for stems, steps, longest in (([(1, 2, 3, 4), (5,), ()], 2, 4), ([(1, 2, 300), (3, 4)], 2, 3),
+                                  ([(1, 2)], 0, 2)):
+        with pytest.raises(ValueError, match=f"a stem of {longest} letters exceeds {steps} steps"):
+            stems_to_array(stems, [3] * len(stems), steps)
+    X = stems_to_array([(1, 2), (5,), ()], [6, 7, 8], 2)
     assert X.dtype == np.uint8
     assert X.tolist() == [[1, 2], [5, 7], [8, 8]]
-    # letters cut off, and tails of rows without padding, are never read
-    X = stems_to_array([(1, 2, 300), (3, 4)], [-1, 2**70], 2)
+    # tails of rows without padding are never read
+    X = stems_to_array([(1, 2), (3, 4)], [-1, 2**70], 2)
     assert X.tolist() == [[1, 2], [3, 4]]
-    assert stems_to_array([(1, 2)], [3], 0).shape == (1, 0)
+    assert stems_to_array([()], [3], 0).shape == (1, 0)
     # the first bad letter in row order is named, also beyond int64
     for stems, tails, bad in (
         ([(1, 2), (300, -4)], [3, 3], "300"),

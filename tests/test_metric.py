@@ -2,14 +2,24 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from carpetauto.automaton import build_topology_automaton, is_infinite, random_word, surviving_time
+from carpetauto.automaton import (
+    EXIT,
+    ID,
+    SigmaAutomaton,
+    build_topology_automaton,
+    is_infinite,
+    random_word,
+    surviving_time,
+)
 from carpetauto.metric import (
+    AsymmetricAutomaton,
     HolderScale,
     IntransitivitySample,
     check_projection_bounds,
@@ -136,6 +146,16 @@ def test_projection_zero_distance_pairs_coincide():
     assert rec.euclidean < 1e-8
 
 
+def test_projection_check_rejects_letters_outside_the_alphabet():
+    spec = SQUARE_TOP_5
+    M = build_topology_automaton(spec)
+    for word in (PeriodicWord.constant(0), PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
+        for pair in ((PeriodicWord.constant(1), word), (word, PeriodicWord.constant(1))):
+            message = rf"word {re.escape(str(word))} has letters outside the alphabet 1\.\.5"
+            with pytest.raises(ValueError, match=message):
+                check_projection_bounds(spec, M, [pair])
+
+
 def test_report_dict_shape():
     spec = SQUARE_TOP_5
     M = build_topology_automaton(spec)
@@ -217,3 +237,12 @@ def test_quotient_classes_refuse_an_intransitive_automaton_on_any_sample():
     x, y, z = exc.value.args[0]
     times = [surviving_time(M, x, y), surviving_time(M, x, z), surviving_time(M, y, z)]
     assert is_infinite(times[0]) and is_infinite(times[1]) and not is_infinite(times[2])
+
+
+def test_quotient_classes_refuse_an_asymmetric_automaton():
+    # states closed under negation, but Id reads (1,2) into e1 and (2,1) into Exit
+    delta = {(ID, 1, 1): ID, (ID, 2, 2): ID, (ID, 1, 2): (1, 0)}
+    M = SigmaAutomaton(2, frozenset({ID, EXIT, (1, 0), (-1, 0)}), delta)
+    with pytest.raises(AsymmetricAutomaton, match="mirror-symmetric"):
+        quotient_classes(M, [PeriodicWord.constant(1)])
+    assert issubclass(AsymmetricAutomaton, ValueError)

@@ -89,3 +89,17 @@ def test_equality_agrees_with_letterwise_comparison(pre1, per1, pre2, per2):
     horizon = 24  # beyond pre + lcm of all period lengths used here
     same = all(a.letter(k) == b.letter(k) for k in range(1, horizon + 1))
     assert (a == b) == same
+
+
+@given(
+    st.lists(st.integers(1, 4), max_size=4),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+def test_prefix_agrees_with_letter(pre, root, reps):
+    # the input period root^reps is not primitive when reps > 1
+    w = PeriodicWord(tuple(pre), tuple(root * reps))
+    for k in range(3 * (len(pre) + len(root) * reps) + 1):
+        assert w.prefix(k) == tuple(w.letter(i) for i in range(1, k + 1))
+    with pytest.raises(IndexError):
+        w.prefix(-1)

@@ -230,53 +230,73 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     return violations
 
 
-def search_triples(M: SigmaAutomaton, accept):
-    """Breadth-first search for words x, y, z whose joint run a rule accepts.
+def search_triples(M: SigmaAutomaton, wanted, lasso: bool, cap: int = 0):
+    """Breadth-first search for words x, y, z whose joint run meets `wanted`.
 
     A joint state (s_xy, s_xz, s_yz) holds the states of the three pairs;
-    once (y,z) exits, its component counts the steps since the exit.  Moves
-    are the input triples (i, j, k), in lexicographic order, that keep (x,y)
-    and (x,z) alive.  At each newly reached joint state js the rule
-    accept(js, moves), where moves(js) yields (triple, next joint state),
-    returns None or a tail triple.  It must accept or strand every joint
-    state at some count, so that the search ends.
+    once (y,z) exits, its component counts the steps since the exit, up
+    to `cap`.  Moves are the input triples (i, j, k), in lexicographic
+    order, that keep (x,y) and (x,z) alive.  The search picks the first
+    reached joint state that is wanted or, with `lasso`, from which some
+    run stays among wanted states forever: the greatest fixed point of
+    "wanted, with a move into the set" over the reached states.
 
-    Returns (True, None), or (False, (x, y, z)): a shortest path to an
-    accepted state followed by the tail's letters forever.
+    Returns (True, None), or (False, (x, y, z)): a shortest path to the
+    picked state, then the letter 1 forever or, with `lasso`, the first
+    move into the set from each state until a state repeats, whose
+    repeated part is the period.
     """
-    succ = M.successors()
+    succ, delta = M.successors(), M.delta
     inputs = {}  # state -> the letters i it reads without exiting, ascending
     for state, i in sorted(succ, key=lambda key: key[1]):
         inputs.setdefault(state, []).append(i)
 
     def moves(js):
         s1, s2, s3 = js
+        out = []
         for i in inputs.get(s1, ()):
             for j, t1 in succ[(s1, i)]:
                 for k, t2 in succ.get((s2, i), ()):
-                    t3 = M.step(s3, j, k)
+                    t3 = delta.get((s3, j, k), EXIT)
                     if t3 == EXIT:  # a count is no state, so it steps to Exit too
-                        t3 = s3 + 1 if type(s3) is int else 0
-                    yield (i, j, k), (t1, t2, t3)
+                        t3 = 0 if type(s3) is not int else s3 + 1 if s3 < cap else cap
+                    out.append(((i, j, k), (t1, t2, t3)))
+        return out
+
+    def words(path, period):
+        return tuple(PeriodicWord(tuple(t[r] for t in path), tuple(t[r] for t in period))
+                     for r in range(3))
 
     start = (ID, ID, ID)
-    seen = {start: None}  # joint state -> (previous joint state, input triple)
+    paths = {start: ()}  # joint state -> input triples of a shortest path to it
+    graph = {}  # joint state -> its moves
     frontier = deque([start])
     while frontier:
         js = frontier.popleft()
-        for trip, nxt in moves(js):
-            if nxt in seen:
-                continue
-            seen[nxt] = (js, trip)
-            tail = accept(nxt, moves)
-            if tail is not None:
-                path = []
-                while seen[nxt] is not None:
-                    nxt, trip = seen[nxt]
-                    path.append(trip)
-                return False, tuple(PeriodicWord(w[::-1], (c,)) for w, c in zip(zip(*path), tail))
-            frontier.append(nxt)
-    return True, None
+        graph[js] = moves(js)
+        for trip, nxt in graph[js]:
+            if nxt not in paths:
+                paths[nxt] = paths[js] + (trip,)
+                if not lasso and wanted(nxt):
+                    return False, words(paths[nxt], [(1, 1, 1)])
+                frontier.append(nxt)
+    if not lasso:
+        return True, None
+    kept = {js for js in paths if wanted(js)}
+    while True:
+        pruned = {js for js in kept if any(nxt in kept for _, nxt in graph[js])}
+        if pruned == kept:
+            break
+        kept = pruned
+    js = next((js for js in paths if js in kept), None)
+    if js is None:
+        return True, None
+    path, walk = list(paths[js]), {}  # walk: kept state -> its step on the path
+    while js not in walk:
+        walk[js] = len(path)
+        trip, js = next(move for move in graph[js] if move[1] in kept)
+        path.append(trip)
+    return False, words(path[:walk[js]], path[walk[js]:])
 
 
 def decide_feasibility(M: SigmaAutomaton, t0: int):
@@ -284,13 +304,13 @@ def decide_feasibility(M: SigmaAutomaton, t0: int):
 
     If (y,z) exits at step e, then T(y,z) = e - 1, and the bound fails
     exactly when (x,y) and (x,z) are both alive at step e + t0: the search
-    accepts a count of t0, whatever the words read afterwards.  Returns
+    reaches a count of t0, whatever the words read afterwards.  Returns
     (True, None) or (False, (x, y, z)), a shortest violating path
     followed by the letter 1 forever.
     """
     if t0 < 0:
         raise ValueError(f"t0 must be at least 0, got {t0}")
-    return search_triples(M, lambda js, moves: (1, 1, 1) if js[2] == t0 else None)
+    return search_triples(M, lambda js: js[2] == t0, lasso=False, cap=t0)
 
 
 def random_word(rng, N: int) -> PeriodicWord:

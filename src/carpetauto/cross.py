@@ -142,24 +142,15 @@ def decide_triple_coding_free(C: CrossAutomaton):
 
     Two of the three pairs always share a word; by symmetry of the
     automaton take the shared word as x.  `automaton.search_triples`
-    tracks the itineraries of (x,y), (x,z), (y,z) jointly.  Self-looping
-    makes an offset state permanent until exit, so a violation exists iff
-    some joint state with both shared-word components in loop states (and
-    the third off Id) is reachable and has one input triple keeping both
-    alive; repeating that triple forever finishes the witness.  Every
-    move from such a state is one, so the search never counts past the
-    step at which (y,z) exits.
+    tracks the itineraries of (x,y), (x,z), (y,z) jointly.  A pair sits
+    at Id while its words agree and never returns to it, so x, y, z are
+    distinct with T(x,y) = T(x,z) = ∞ exactly when some run stays forever
+    in joint states with no Id component: a lasso through those states.
 
     Returns (True, None) when the condition holds, else (False, witness)
-    with a witness triple of eventually-constant words.
+    with an eventually periodic witness triple.
     """
-
-    def sustained(js, moves):
-        if ID not in js:
-            return next((t for t, (u1, u2, _) in moves(js) if (u1, u2) == js[:2]), None)
-        return None
-
-    return search_triples(C.induced_automaton(), sustained)
+    return search_triples(C.induced_automaton(), lambda js: ID not in js, lasso=True)
 
 
 def validate(C: CrossAutomaton):

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import ID, SigmaAutomaton, decide_feasibility, is_infinite, mirror_check, surviving_time
-from .errors import InternalError
+from .automaton import SigmaAutomaton, is_infinite, mirror_check, search_triples, surviving_time
 from .geometry import projector
 from .words import PeriodicWord
 
@@ -119,8 +118,9 @@ def check_projection_bounds(spec, M: SigmaAutomaton, pairs, depth: int | None = 
     coordinate difference is the float of the exact rational difference.
     """
     scale = holder_scale(spec)
+    r_star, r_sub = float(scale.r_star), float(scale.r_sub)
     if depth is None:
-        depth = _proj_depth(float(scale.r_star))
+        depth = _proj_depth(r_star)
     corner, (dx, dy), err = projector(spec, depth)
     eps = 2 * err + 1e-12
     records = []
@@ -138,12 +138,12 @@ def check_projection_bounds(spec, M: SigmaAutomaton, pairs, depth: int | None = 
             if not ok:
                 violations += 1
             continue
-        ok = dist <= 4 * float(scale.r_star) ** t + math.sqrt(2) * eps
+        ok = dist <= 4 * r_star ** t + math.sqrt(2) * eps
         records.append(ProjectionRecord(t, xi**t, dist, ok))
         if not ok:
             violations += 1
         if dist > 2 * math.sqrt(2) * eps:
-            c = dist / float(scale.r_sub) ** (t + 1)
+            c = dist / r_sub ** (t + 1)
             fitted = c if fitted is None else min(fitted, c)
     return ProjectionReport(tuple(records), fitted, violations)
 
@@ -153,25 +153,20 @@ def quotient_classes(M: SigmaAutomaton, words):
 
     M must be mirror-symmetric, as topology and cross automata are, so
     that T is symmetric; otherwise AsymmetricAutomaton is raised.  Zero
-    distance fails to be transitive exactly when M violates feasibility
-    at t0 = P = (|states| - 1)^2, the number of pairs of live states.  An
-    intransitive triple has T(x,y) = T(x,z) = ∞ and a finite T(y,z), a
-    violation for every t0.  Conversely, in a violation at P, (y,z) exits
-    at some step e and (x,y), (x,z) stay alive up to step e + P, so among
-    those P + 1 steps two steps a < b see the same pair of states.
-    Reading the first a inputs and then the inputs of steps a+1..b
-    forever gives T(x,y) = T(x,z) = ∞ with T(y,z) = e - 1.  That triple
-    is raised as IntransitivitySample.
+    distance fails to be transitive exactly when some words have
+    T(x,y) = T(x,z) = ∞ and a finite T(y,z): a run of the joint states of
+    `automaton.search_triples` that stays forever in states where (y,z)
+    has exited.  The lasso search finds one if it exists, and its
+    eventually periodic triple is raised as IntransitivitySample.
 
     Otherwise each word joins the class of the first related class
     leader.  Classes are ordered by their last word.
     """
     if not mirror_check(M):
         raise AsymmetricAutomaton("quotient classes need a mirror-symmetric automaton")
-    P = (len(M.states) - 1) ** 2
-    ok, witness = decide_feasibility(M, P)
+    ok, witness = search_triples(M, lambda js: type(js[2]) is int, lasso=True)
     if not ok:
-        raise IntransitivitySample(_pumped(M, P, *witness))
+        raise IntransitivitySample(witness)
     words = list(words)
     classes = []  # lists of indices into words
     for b, w in enumerate(words):
@@ -181,16 +176,3 @@ def quotient_classes(M: SigmaAutomaton, words):
         group.append(b)
     classes.sort(key=lambda c: c[-1])
     return [tuple(words[b] for b in c) for c in classes]
-
-
-def _pumped(M: SigmaAutomaton, P: int, x, y, z):
-    """The pumped intransitive triple of a feasibility violation at t0 = P."""
-    e = surviving_time(M, y, z) + 1
-    first = {}  # pair of states at a step >= e -> that step
-    sxy = sxz = ID
-    for b in range(1, e + P + 1):
-        sxy = M.step(sxy, x.letter(b), y.letter(b))
-        sxz = M.step(sxz, x.letter(b), z.letter(b))
-        if b >= e and (a := first.setdefault((sxy, sxz), b)) < b:
-            return tuple(PeriodicWord(w.prefix(a), w.prefix(b)[a:]) for w in (x, y, z))
-    raise InternalError("a feasibility violation at t0 = P repeats no pair of states")

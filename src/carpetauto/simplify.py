@@ -62,11 +62,8 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
         cls = classify(C)
     if cls.kind not in ("Class1", "Class2"):
         raise NotClass2(f"automaton is {cls.kind}, not Class 2")
-    candidates = sorted(
-        (kappa, tau)
-        for tau, kappa in C.PV
-        if not any(i == kappa for i, _ in C.PV)
-    )
+    sources = {i for i, _ in C.PV}
+    candidates = sorted((kappa, tau) for tau, kappa in C.PV if kappa not in sources)
     if not candidates:
         raise InternalError("acyclic nonempty PV must have a V-maximal edge target")
     kappa, tau = candidates[0]

@@ -14,10 +14,13 @@ from carpetauto.automaton import (
     ID,
     SigmaAutomaton,
     build_topology_automaton,
+    decide_feasibility,
     is_infinite,
+    neg,
     random_word,
     surviving_time,
 )
+from carpetauto.cli import random_carpet
 from carpetauto.metric import (
     AsymmetricAutomaton,
     HolderScale,
@@ -235,8 +238,71 @@ def test_quotient_classes_refuse_an_intransitive_automaton_on_any_sample():
     with pytest.raises(IntransitivitySample) as exc:
         quotient_classes(M, [parse_word("(1)"), parse_word("(2)")])
     x, y, z = exc.value.args[0]
+    # the triple stated in docs/nine_letter_example.md
+    assert (str(x), str(y), str(z)) == ("1(5)", "1.9(1)", "2(1)")
     times = [surviving_time(M, x, y), surviving_time(M, x, z), surviving_time(M, y, z)]
-    assert is_infinite(times[0]) and is_infinite(times[1]) and not is_infinite(times[2])
+    assert is_infinite(times[0]) and is_infinite(times[1]) and times[2] == 1
+
+
+def random_mirror_automaton(rng):
+    """A random sigma automaton whose table is closed under
+    (s,i,j) -> t  =>  (-s,j,i) -> -t, with offsets that may return to Id."""
+    N = rng.randint(2, 3)
+    offsets = rng.sample([(1, 0), (0, 1), (1, 1), (1, -1)], rng.randint(1, 2))
+    states = [ID] + offsets + [neg(v) for v in offsets]
+    delta = {}
+    for s in states:
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                if (s, i, j) in delta or (s == ID and i == j):
+                    continue
+                choices = [t for t in states if s != ID or t != ID] + [EXIT] * 2
+                t = rng.choice(choices)
+                if t != EXIT:
+                    delta[(s, i, j)] = t
+                    delta[(neg(s), j, i)] = neg(t)
+    delta.update({(ID, i, i): ID for i in range(1, N + 1)})
+    return SigmaAutomaton(N, frozenset(states + [EXIT]), delta)
+
+
+def dying_chain_automaton():
+    """Id -(1,2)-> a -(1,1)-> b -(1,1)-> c, with c a dead end, and the
+    mirror.  x = 1(1), y = 2(1), z = 1.2(1) keep (x,y) and (x,z) alive at
+    the step where (y,z) exits and at the next, so a single pruning pass
+    keeps the joint state of the exit step although no run from it lives
+    forever."""
+    a, b, c = (1, 0), (0, 1), (1, 1)
+    delta = {(ID, 1, 1): ID, (ID, 2, 2): ID}
+    for s, i, j, t in ((ID, 1, 2, a), (a, 1, 1, b), (b, 1, 1, c)):
+        delta[(s, i, j)] = t
+        delta[(neg(s), j, i)] = neg(t)
+    return SigmaAutomaton(2, frozenset({ID, EXIT, a, b, c, neg(a), neg(b), neg(c)}), delta)
+
+
+def test_quotient_classes_decide_transitivity_like_feasibility_at_the_pumping_bound():
+    # zero distance is intransitive exactly when feasibility fails at
+    # t0 = P = (|states| - 1)^2: a violation at P repeats a pair of live
+    # states after (y,z) exits, and pumping that stretch gives the triple
+    rng = random.Random(1212)
+    automata = [dying_chain_automaton()] + [random_mirror_automaton(rng) for _ in range(100)]
+    while len(automata) < 151:
+        M = build_topology_automaton(random_carpet(rng, max_div=4, max_digits=7))
+        if any(s not in (ID, EXIT) and 0 not in s for s in M.states):
+            automata.append(M)
+    verdicts = []
+    for M in automata:
+        transitive, _ = decide_feasibility(M, (len(M.states) - 1) ** 2)
+        try:
+            quotient_classes(M, [])
+        except IntransitivitySample as exc:
+            assert not transitive, M
+            x, y, z = exc.args[0]
+            assert is_infinite(surviving_time(M, x, y)) and is_infinite(surviving_time(M, x, z))
+            assert not is_infinite(surviving_time(M, y, z))
+        else:
+            assert transitive, M
+        verdicts.append(transitive)
+    assert True in verdicts and False in verdicts
 
 
 def test_quotient_classes_refuse_an_asymmetric_automaton():

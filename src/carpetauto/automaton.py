@@ -104,6 +104,8 @@ class SigmaAutomaton:
 
     def __post_init__(self):
         N = self.alphabet_size
+        if N < 1:
+            raise AutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise AutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
         if ID not in self.states or EXIT not in self.states:
@@ -147,32 +149,28 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
     exit otherwise.  So the transitions from s into a surviving v are
     exactly the letter pairs whose digit difference is v - (n*s_x, m*s_y),
     read from the digit difference index; the pairs of difference zero
-    are the Id self-loops.  States unreachable from Id are pruned.
+    are the Id self-loops.  The survivors are those of the companion,
+    which shares the carpet's n, m and digits, the only fields the oracle
+    reads, so the carpet itself is passed.  Transitions are read only
+    from states reached from Id, in one breadth-first pass, so states
+    unreachable from Id never enter the table.
     """
     from .geometry import build_oracle, difference_index
 
     index = difference_index(spec)
-    oracle = build_oracle(spec.companion(), index)
+    oracle = build_oracle(spec, index)
     delta = {(ID, i, j): ID for i, j in index[(0, 0)]}
     targets = [v for v in oracle.survivors if v != (0, 0)]
-    for s in [ID] + targets:
+    reached = [ID]
+    for s in reached:  # the list grows while it is read: a breadth-first search
         sx, sy = (0, 0) if s == ID else s
         for v in targets:
-            for i, j in index.get((v[0] - spec.n * sx, v[1] - spec.m * sy), ()):
+            pairs = index.get((v[0] - spec.n * sx, v[1] - spec.m * sy), ())
+            for i, j in pairs:
                 delta[(s, i, j)] = v
-    return _pruned(len(spec.digits), delta)
-
-
-def _pruned(N: int, delta: dict) -> SigmaAutomaton:
-    """Keep only states reachable from Id."""
-    reachable = {ID}
-    while True:
-        grown = reachable | {t for (s, _, _), t in delta.items() if s in reachable and t != EXIT}
-        if grown == reachable:
-            break
-        reachable = grown
-    kept = {k: v for k, v in delta.items() if k[0] in reachable and v in reachable}
-    return SigmaAutomaton(N, frozenset(reachable | {EXIT}), kept)
+            if pairs and v not in reached:
+                reached.append(v)
+    return SigmaAutomaton(len(spec.digits), frozenset({*reached, EXIT}), delta)
 
 
 def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):
@@ -239,7 +237,10 @@ def search_triples(M: SigmaAutomaton, wanted, lasso: bool, cap: int = 0):
     order, that keep (x,y) and (x,z) alive.  The search picks the first
     reached joint state that is wanted or, with `lasso`, from which some
     run stays among wanted states forever: the greatest fixed point of
-    "wanted, with a move into the set" over the reached states.
+    "wanted, with a move into the set" over the reached states.  The
+    pruning toward it stops as soon as the set is empty, so a search
+    where no wanted state moves into a wanted state (every coding-free
+    cross automaton) ends after one pass over the wanted states.
 
     Returns (True, None), or (False, (x, y, z)): a shortest path to the
     picked state, then the letter 1 forever or, with `lasso`, the first
@@ -285,12 +286,12 @@ def search_triples(M: SigmaAutomaton, wanted, lasso: bool, cap: int = 0):
     kept = {js for js in paths if wanted(js)}
     while True:
         pruned = {js for js in kept if any(nxt in kept for _, nxt in graph[js])}
+        if not pruned:
+            return True, None
         if pruned == kept:
             break
         kept = pruned
-    js = next((js for js in paths if js in kept), None)
-    if js is None:
-        return True, None
+    js = next(js for js in paths if js in kept)
     path, walk = list(paths[js]), {}  # walk: kept state -> its step on the path
     while js not in walk:
         walk[js] = len(path)

@@ -136,7 +136,7 @@ def _parse_json(text: str) -> CarpetSpec:
 
     n = field("n", json_int)
     m = field("m", json_int)
-    digits = field("digits", lambda ds: tuple((int(d[0]), int(d[1])) for d in ds))
+    digits = field("digits", lambda ds: tuple((json_int(d[0]), json_int(d[1])) for d in ds))
     hratios = field("hratios", _ratios) if "hratios" in data else None
     vratios = field("vratios", _ratios) if "vratios" in data else None
     return CarpetSpec(n, m, digits, hratios, vratios)

@@ -11,7 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, json_field, json_int, search_triples
+from .automaton import (
+    EXIT,
+    ID,
+    MAX_LETTER,
+    SigmaAutomaton,
+    json_field,
+    json_int,
+    order_key,
+    search_triples,
+)
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -30,6 +39,11 @@ def _as_pairs(pairs):
     return frozenset((int(i), int(j)) for i, j in pairs)
 
 
+def _json_pairs(pairs):
+    """A relation read from JSON, whose letters must be integers."""
+    return frozenset((json_int(i), json_int(j)) for i, j in pairs)
+
+
 @dataclass(frozen=True)
 class CrossAutomaton:
     alphabet_size: int
@@ -42,6 +56,8 @@ class CrossAutomaton:
         for name in ("PH", "PV", "Pe1", "Pe2"):
             object.__setattr__(self, name, _as_pairs(getattr(self, name)))
         N = self.alphabet_size
+        if N < 1:
+            raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
         for name in ("PH", "PV", "Pe1", "Pe2"):
@@ -100,16 +116,17 @@ def cross_from_json(text: str) -> CrossAutomaton:
         return json_field(data, name, parse, CrossAutomatonError, "cross automaton")
 
     N = field("N", json_int)
-    relations = [field(name, _as_pairs) if name in data else frozenset()
+    relations = [field(name, _json_pairs) if name in data else frozenset()
                  for name in ("PH", "PV", "Pe1", "Pe2")]
     return CrossAutomaton(N, *relations)
 
 
 def from_topology_automaton(M: SigmaAutomaton) -> CrossAutomaton:
     """Extract the four relations; fails if diagonal states are reachable."""
-    for s in M.states:
-        if s not in (ID, EXIT) and s not in AXIS_STATES:
-            raise DiagonalStatePresent(f"state {s} present: cross intersection fails")
+    diagonal = [s for s in M.states if s not in (ID, EXIT) and s not in AXIS_STATES]
+    if diagonal:  # named in state order: the set's own order varies with string hashing
+        s = min(diagonal, key=order_key)
+        raise DiagonalStatePresent(f"state {s} present: cross intersection fails")
     rels = {"PH": set(), "PV": set(), "Pe1": set(), "Pe2": set()}
     for (s, i, j), t in M.delta.items():
         if s == ID and t == E1:
@@ -202,6 +219,10 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
     cross automaton of its topology automaton.  Without it the best
     possible answer is Class 2.
 
+    Every test reads the four relations directly, the two-step exit test
+    on (λλ, t1 t2) included: no induced automaton is built, so the
+    per-stage check of a simplification chain stays cheap.
+
     Class 1 asks the carpet for cross intersection, no vertical
     separation and an isolated single top cell.  Where the last test
     below is reached, the first two hold and the third is a property of
@@ -229,16 +250,25 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
                 "Unclassified", top=gamma, bottom=lam,
                 reason=f"top vertex not isolated in {which}",
             )
-    # The induced automaton is mirror-symmetric, so the transposed pair
-    # (t1 t2, lam lam) survives exactly when (lam lam, t1 t2) does.
-    succ = C.induced_automaton().successors()
-    for t1, s1 in succ.get((ID, lam), ()):
-        if t1 != lam and (s1, lam) in succ:
-            t2 = succ[(s1, lam)][0][0]
-            return Classification(
-                "Unclassified", top=gamma, bottom=lam,
-                reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
-            )
+    # An input (lam lam, t1 t2) survives two steps exactly when an entry
+    # edge at lam reaches an axis state that a loop edge at lam keeps: (lam,
+    # t1) and (lam, t2), or (t1, lam) and (t2, lam), in PH and Pe1 or in PV
+    # and Pe2.  Entry edges are neither reflexive nor transposed into one
+    # another, so each t1 enters one state; t1 and then t2 are the smallest.
+    # By mirror symmetry (t1 t2, lam lam) survives exactly when this does.
+    def at_lam(rel):  # the letters after lam, then the letters before it
+        return [j for i, j in rel if i == lam], [i for i, j in rel if j == lam]
+
+    exits = [(t1, min(t2s))
+             for entry, loop in ((C.PH, C.Pe1), (C.PV, C.Pe2))
+             for t1s, t2s in zip(at_lam(entry), at_lam(loop)) if t2s
+             for t1 in t1s]
+    if exits:
+        t1, t2 = min(exits)
+        return Classification(
+            "Unclassified", top=gamma, bottom=lam,
+            reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
+        )
     if has_cycle(C.PV):
         return Classification(
             "Unclassified", top=gamma, bottom=lam, reason="PV graph has a cycle"

@@ -85,6 +85,8 @@ class IntersectionOracle:
 def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionOracle:
     """Greatest fixed point of the offset filter; exact for the companion.
 
+    Only n, m and digits of `spec` are read, so a ratio-bearing carpet
+    gives the oracle of its companion without building the companion.
     The successors of the nine offsets are read once from the digit
     difference index (`index`, when the caller has built it already),
     so each round of the fixed point is nine set intersections.

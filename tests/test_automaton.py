@@ -270,3 +270,6 @@ def test_alphabet_bound():
     assert identity_table(255).alphabet_size == 255
     with pytest.raises(AutomatonError, match="256 letters exceeds 255"):
         identity_table(256)
+    for N in (0, -1):
+        with pytest.raises(AutomatonError, match=f"N = {N} letters"):
+            identity_table(N)

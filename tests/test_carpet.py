@@ -75,6 +75,14 @@ def test_json_ratios_round_trip():
     assert again == spec
 
 
+def test_json_digits_must_be_integers():
+    base = {"n": 3, "m": 3}
+    for digits in ([[0.7, 0], [1, 1.2], [True, 2]], [[0, 0], [1, "2"]], [[0, False]]):
+        with pytest.raises(CarpetError, match="field 'digits': expected an integer"):
+            parse_carpet(json.dumps({**base, "digits": digits}))
+    assert parse_carpet(json.dumps({**base, "digits": [[1, 2], [0, 0]]})).digits == ((0, 0), (1, 2))
+
+
 def test_parse_grid_errors():
     with pytest.raises(CarpetError):
         parse_carpet("#.\n#")

@@ -206,6 +206,8 @@ def test_malformed_cross_automaton_json_is_rejected(command, tmp_path, capsys):
         ({"N": 5, "PV": [6]}, "field 'PV'"),
         ({"N": [], "PV": []}, "field 'N'"),
         ({"N": 1e8, "PV": []}, "expected an integer"),
+        ({"N": 3, "PH": [[1.9, 2.5]]}, "field 'PH': expected an integer"),
+        ({"N": 3, "PV": [], "Pe2": [[True, 2]]}, "field 'Pe2': expected an integer"),
     )
     for data, message in cases:
         path.write_text(json.dumps(data))
@@ -224,6 +226,7 @@ def test_malformed_carpet_json_is_rejected(tmp_path, capsys):
         ({"n": None}, "field 'n'"),
         ({"m": 3.0}, "field 'm': expected an integer"),
         ({"digits": [[0]]}, "field 'digits'"),
+        ({"digits": [[0.7, 0], [1, 1.2], [True, 2]]}, "field 'digits': expected an integer"),
     )
     for extra, message in cases:
         path.write_text(json.dumps({**base, **extra}))
@@ -400,6 +403,21 @@ def test_malformed_delta_names_the_field(tmp_path):
         for argv in (["automaton", path], ["survive", path, "(1)", "(1)"], ["simplify", path]):
             code, _, err = run_captured(argv)
             assert code == 3 and "field 'delta'" in err, (key, target, argv[0], err)
+
+
+@pytest.mark.parametrize("data", [
+    {"N": -3, "PH": []},
+    {"N": 0, "PV": []},
+    {"N": -1, "states": ["Id"], "delta": {}},
+    {"N": 0, "states": ["Id"], "delta": {}},
+])
+def test_alphabet_of_fewer_than_one_letter_exits_3(data, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    for argv in (["automaton", path], ["survive", path, "(1)", "(1)"], ["simplify", path]):
+        code, out, err = run_captured(argv)
+        assert code == 3 and not out, (data, argv[0], out)
+        assert f"N = {data['N']} letters" in err, (data, argv[0], err)
 
 
 def test_sizes_beyond_the_letter_bound_exit_3(tmp_path):

@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
+from pathlib import Path
 from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +59,19 @@ def test_json_round_trip():
     assert again == CARPET_8
 
 
+def test_alphabet_of_fewer_than_one_letter_is_rejected():
+    for N in (0, -3):
+        with pytest.raises(CrossAutomatonError, match=f"N = {N} letters"):
+            CrossAutomaton(N, set(), set(), set(), set())
+
+
+def test_json_letters_must_be_integers():
+    for pairs in ([[1.9, 2.5]], [[1, True]], [["1", 2]]):
+        with pytest.raises(CrossAutomatonError, match="field 'PH': expected an integer"):
+            cross_from_json(json.dumps({"N": 3, "PH": pairs}))
+    assert cross_from_json('{"N": 3, "PH": [[1, 2]]}').PH == {(1, 2)}
+
+
 def test_induced_automaton_mirrors_relations():
     M = CARPET_8.induced_automaton()
     assert M.step(ID, 1, 2) == (1, 0)
@@ -78,7 +94,9 @@ def test_extraction_round_trip_from_carpets():
 
 def test_diagonal_state_raises():
     spec = parse_carpet("#.#\n###\n#.#")
-    with pytest.raises(DiagonalStatePresent):
+    # all four diagonals are reached; the message names the first in state
+    # order, whatever order string hashing gives the state set
+    with pytest.raises(DiagonalStatePresent, match=r"state \(-1, 1\) present"):
         from_topology_automaton(build_topology_automaton(spec))
 
 
@@ -302,3 +320,88 @@ def test_alphabet_bound():
     assert CrossAutomaton(255, {(1, 255)}, set(), set(), set()).alphabet_size == 255
     with pytest.raises(CrossAutomatonError, match="256 letters exceeds 255"):
         CrossAutomaton(256, {(1, 256)}, set(), set(), set())
+
+
+def reference_classify(C):
+    """classify without an origin as it read the (lam lam, t1 t2) exit test
+    before: from the successor index of the induced automaton."""
+    if not C.PV:
+        return Classification("Class0")
+    if len(C.Pe2) != 1:
+        return Classification("Unclassified", reason="Pe2 is not a singleton")
+    ((gamma, lam),) = C.Pe2
+    if gamma == lam:
+        return Classification("Unclassified", reason="top and bottom vertices coincide")
+    for which, rel in (("H", C.PH), ("V", C.PV), ("e1", C.Pe1)):
+        if touches(rel, gamma):
+            return Classification(
+                "Unclassified", top=gamma, bottom=lam,
+                reason=f"top vertex not isolated in {which}",
+            )
+    succ = C.induced_automaton().successors()
+    for t1, s1 in succ.get((ID, lam), ()):
+        if t1 != lam and (s1, lam) in succ:
+            t2 = succ[(s1, lam)][0][0]
+            return Classification(
+                "Unclassified", top=gamma, bottom=lam,
+                reason=f"(lam lam, {t1}{t2}) does not exit in two steps",
+            )
+    if has_cycle(C.PV):
+        return Classification(
+            "Unclassified", top=gamma, bottom=lam, reason="PV graph has a cycle"
+        )
+    return Classification("Class2", top=gamma, bottom=lam)
+
+
+def test_classify_reads_the_exit_test_like_the_induced_automaton():
+    """Random cross automata whose relations need not be matchings
+    (final_chain classifies before it checks uniqueness), biased towards
+    a singleton Pe2 = {(gamma, lam)} with gamma on no other edge, so that
+    the (lam lam) exit test is reached often."""
+    rng = random.Random(20261019)
+    reasons = Counter()
+    checked = 0
+    while checked < 2400:
+        N = rng.randint(3, 7)
+        gamma, lam = rng.sample(range(1, N + 1), 2)
+        pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+        pool = [p for p in pairs if gamma not in p] if rng.random() < 0.8 else pairs
+        rels = [set(rng.sample(pool, rng.randint(0, N + 1))) for _ in range(3)]
+        rels.append({(gamma, lam)} if rng.random() < 0.85 else set(rng.sample(pairs, 2)))
+        try:
+            C = CrossAutomaton(N, *rels)
+        except CrossAutomatonError:
+            continue
+        checked += 1
+        got = classify(C)
+        assert got == reference_classify(C), C
+        reasons[got.reason] += 1
+    lamlam = sum(count for reason, count in reasons.items() if reason and "lam lam" in reason)
+    assert lamlam >= 100 and reasons[None] >= 100, reasons
+
+
+def ratio_carpets():
+    """The catalog's Ratio carpets and seeded random ratio-bearing carpets."""
+    catalog = Path(__file__).resolve().parents[1] / "bench" / "data" / "catalog.json"
+    carpets = [parse_carpet(c["text"]) for c in json.loads(catalog.read_text())["survey"]["carpets"]
+               if c["id"].startswith("Ratio")]
+    rng = random.Random(20261019)
+    while len(carpets) < 1000:
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+
+        def ratios(count):
+            weights = [rng.randint(1, 4) for _ in range(count)]
+            return tuple(Fraction(w, sum(weights)) for w in weights)
+
+        carpets.append(CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))),
+                                  ratios(n) if rng.random() < 0.8 else None, ratios(m)))
+    return carpets
+
+
+def test_topology_automaton_of_a_ratio_carpet_is_that_of_its_companion():
+    carpets = ratio_carpets()
+    assert sum(1 for spec in carpets if spec.hratios is not None) > 500
+    for spec in carpets:
+        assert not spec.is_uniform()
+        assert build_topology_automaton(spec) == build_topology_automaton(spec.companion()), spec

@@ -386,14 +386,14 @@ def ratio_carpets():
     carpets = [parse_carpet(c["text"]) for c in json.loads(catalog.read_text())["survey"]["carpets"]
                if c["id"].startswith("Ratio")]
     rng = random.Random(20261019)
+
+    def ratios(count):
+        weights = [rng.randint(1, 4) for _ in range(count)]
+        return tuple(Fraction(w, sum(weights)) for w in weights)
+
     while len(carpets) < 1000:
         n, m = rng.randint(2, 6), rng.randint(2, 6)
         cells = [(a, b) for a in range(n) for b in range(m)]
-
-        def ratios(count):
-            weights = [rng.randint(1, 4) for _ in range(count)]
-            return tuple(Fraction(w, sum(weights)) for w in weights)
-
         carpets.append(CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))),
                                   ratios(n) if rng.random() < 0.8 else None, ratios(m)))
     return carpets

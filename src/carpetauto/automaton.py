@@ -9,8 +9,8 @@ step before the itinerary hits EXIT (infinity if it never does).
 
 from __future__ import annotations
 
+import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .words import PeriodicWord
@@ -83,6 +83,15 @@ def json_int(value) -> int:
     return value
 
 
+def json_decode(text: str, error: type[ValueError]):
+    """The decoded JSON text, raising `error`, which says "invalid JSON",
+    when the text is not JSON or nests deeper than the decoder can."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise error(f"invalid JSON: {e}") from e
+
+
 def json_field(data: dict, name: str, parse, error: type[ValueError], kind: str):
     """parse(data[name]), raising `error` that names the field of the
     `kind` JSON when it is missing or malformed."""
@@ -92,6 +101,18 @@ def json_field(data: dict, name: str, parse, error: type[ValueError], kind: str)
         return parse(data[name])
     except (AttributeError, TypeError, ValueError, IndexError, ArithmeticError) as e:
         raise error(f"malformed {kind} JSON field {name!r}: {e}") from e
+
+
+def successor_index(delta: dict) -> dict:
+    """(state, i) -> [(j, target)] over the targets of a transition table
+    that are not Exit, j ascending."""
+    index = {}
+    for (s, i, j), t in delta.items():
+        if t != EXIT:
+            index.setdefault((s, i), []).append((j, t))
+    for moves in index.values():
+        moves.sort()  # the letters j differ, so no two targets are compared
+    return index
 
 
 @dataclass(frozen=True)
@@ -128,13 +149,7 @@ class SigmaAutomaton:
 
     def successors(self) -> dict:
         """(state, i) -> [(j, target)] over the targets that are not Exit, j ascending."""
-        index = {}
-        for (s, i, j), t in self.delta.items():
-            if t != EXIT:
-                index.setdefault((s, i), []).append((j, t))
-        for moves in index.values():
-            moves.sort(key=lambda move: move[0])
-        return index
+        return successor_index(self.delta)
 
     def letters(self):
         return range(1, self.alphabet_size + 1)
@@ -228,62 +243,80 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     return violations
 
 
-def search_triples(M: SigmaAutomaton, wanted, lasso: bool, cap: int = 0):
+def search_triples(delta: dict, wanted, lasso: bool, cap: int = 0):
     """Breadth-first search for words x, y, z whose joint run meets `wanted`.
 
-    A joint state (s_xy, s_xz, s_yz) holds the states of the three pairs;
-    once (y,z) exits, its component counts the steps since the exit, up
-    to `cap`.  Moves are the input triples (i, j, k), in lexicographic
-    order, that keep (x,y) and (x,z) alive.  The search picks the first
-    reached joint state that is wanted or, with `lasso`, from which some
-    run stays among wanted states forever: the greatest fixed point of
-    "wanted, with a move into the set" over the reached states.  The
-    pruning toward it stops as soon as the set is empty, so a search
-    where no wanted state moves into a wanted state (every coding-free
-    cross automaton) ends after one pass over the wanted states.
+    `delta` is the transition table the three pairs read, (state, i, j)
+    -> state with Exit for a missing entry, as in `SigmaAutomaton`: the
+    table of a sigma automaton or of a cross automaton
+    (`CrossAutomaton.transition_table`).  A joint state (s_xy, s_xz,
+    s_yz) holds the states of the three pairs; once (y,z) exits, its
+    component counts the steps since the exit, up to `cap`.  Moves are
+    the input triples (i, j, k), in lexicographic order, that keep (x,y)
+    and (x,z) alive.  The search picks the first reached joint state that
+    is wanted or, with `lasso`, from which some run stays among wanted
+    states forever: the greatest fixed point of "wanted, with a move into
+    the set" over the reached states.  The pruning toward it stops as
+    soon as the set is empty, so a search where no wanted state moves
+    into a wanted state (every coding-free cross automaton) ends after
+    one pass over the wanted states.
 
     Returns (True, None), or (False, (x, y, z)): a shortest path to the
     picked state, then the letter 1 forever or, with `lasso`, the first
     move into the set from each state until a state repeats, whose
     repeated part is the period.
     """
-    succ, delta = M.successors(), M.delta
-    inputs = {}  # state -> the letters i it reads without exiting, ascending
-    for state, i in sorted(succ, key=lambda key: key[1]):
-        inputs.setdefault(state, []).append(i)
+    succ = successor_index(delta)
+    rows = {}  # state -> [(i, [(j, target)])] over the letters i it reads without exiting
+    for (state, i), moves in succ.items():
+        rows.setdefault(state, []).append((i, moves))
+    for row in rows.values():
+        row.sort(key=lambda entry: entry[0])
+    targets = {key: dict(moves) for key, moves in succ.items()}  # (state, j) -> {k: target}
 
     def moves(js):
         s1, s2, s3 = js
+        # (y,z) steps to Exit on every input without a target, and so does
+        # a count, which is no state: the count after the exit
+        after = 0 if type(s3) is not int else s3 + 1 if s3 < cap else cap
         out = []
-        for i in inputs.get(s1, ()):
-            for j, t1 in succ[(s1, i)]:
-                for k, t2 in succ.get((s2, i), ()):
-                    t3 = delta.get((s3, j, k), EXIT)
-                    if t3 == EXIT:  # a count is no state, so it steps to Exit too
-                        t3 = 0 if type(s3) is not int else s3 + 1 if s3 < cap else cap
-                    out.append(((i, j, k), (t1, t2, t3)))
+        for i, moves1 in rows.get(s1, ()):
+            moves2 = succ.get((s2, i))
+            if moves2 is None:
+                continue
+            for j, t1 in moves1:
+                row3 = targets.get((s3, j), {})
+                for k, t2 in moves2:
+                    out.append(((i, j, k), (t1, t2, row3.get(k, after))))
         return out
+
+    def path_to(js):
+        path = []
+        while parent[js] is not None:
+            js, trip = parent[js]
+            path.append(trip)
+        path.reverse()
+        return path
 
     def words(path, period):
         return tuple(PeriodicWord(tuple(t[r] for t in path), tuple(t[r] for t in period))
                      for r in range(3))
 
     start = (ID, ID, ID)
-    paths = {start: ()}  # joint state -> input triples of a shortest path to it
+    parent = {start: None}  # joint state -> (its predecessor on a shortest path, the move)
+    reached = [start]
     graph = {}  # joint state -> its moves
-    frontier = deque([start])
-    while frontier:
-        js = frontier.popleft()
-        graph[js] = moves(js)
-        for trip, nxt in graph[js]:
-            if nxt not in paths:
-                paths[nxt] = paths[js] + (trip,)
+    for js in reached:  # the list grows while it is read: a breadth-first search
+        graph[js] = out = moves(js)
+        for trip, nxt in out:
+            if nxt not in parent:
+                parent[nxt] = (js, trip)
                 if not lasso and wanted(nxt):
-                    return False, words(paths[nxt], [(1, 1, 1)])
-                frontier.append(nxt)
+                    return False, words(path_to(nxt), [(1, 1, 1)])
+                reached.append(nxt)
     if not lasso:
         return True, None
-    kept = {js for js in paths if wanted(js)}
+    kept = {js for js in reached if wanted(js)}
     while True:
         pruned = {js for js in kept if any(nxt in kept for _, nxt in graph[js])}
         if not pruned:
@@ -291,8 +324,8 @@ def search_triples(M: SigmaAutomaton, wanted, lasso: bool, cap: int = 0):
         if pruned == kept:
             break
         kept = pruned
-    js = next(js for js in paths if js in kept)
-    path, walk = list(paths[js]), {}  # walk: kept state -> its step on the path
+    js = next(js for js in reached if js in kept)
+    path, walk = path_to(js), {}  # walk: kept state -> its step on the path
     while js not in walk:
         walk[js] = len(path)
         trip, js = next(move for move in graph[js] if move[1] in kept)
@@ -311,7 +344,7 @@ def decide_feasibility(M: SigmaAutomaton, t0: int):
     """
     if t0 < 0:
         raise ValueError(f"t0 must be at least 0, got {t0}")
-    return search_triples(M, lambda js: js[2] == t0, lasso=False, cap=t0)
+    return search_triples(M.delta, lambda js: js[2] == t0, lasso=False, cap=t0)
 
 
 def random_word(rng, N: int) -> PeriodicWord:
@@ -341,8 +374,6 @@ def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
 
 
 def to_json(M: SigmaAutomaton) -> str:
-    import json
-
     states = [state_name(s) for s in sorted(M.states, key=order_key)]
     delta = {
         f"{state_name(s)}|{i},{j}": state_name(t)
@@ -354,9 +385,12 @@ def to_json(M: SigmaAutomaton) -> str:
 
 
 def from_json(text: str) -> SigmaAutomaton:
-    import json
+    return from_dict(json_decode(text, AutomatonError))
 
-    data = json.loads(text)
+
+def from_dict(data: dict) -> SigmaAutomaton:
+    """The sigma automaton of decoded JSON {"N", "states", "delta"}, in the
+    form `to_json` prints."""
 
     def field(name, parse):
         return json_field(data, name, parse, AutomatonError, "automaton")

@@ -20,6 +20,7 @@ from .automaton import (
     MAX_LETTER,
     SigmaAutomaton,
     build_topology_automaton,
+    json_decode,
     json_field,
     json_int,
 )
@@ -121,15 +122,13 @@ def parse_carpet(text: str) -> CarpetSpec:
     """Parse a carpet from JSON or from an ASCII grid ('#'/'.')."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return _parse_json(stripped)
+        return carpet_from_dict(json_decode(stripped, CarpetError))
     return _parse_grid(stripped)
 
 
-def _parse_json(text: str) -> CarpetSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CarpetError(f"invalid JSON: {e}") from e
+def carpet_from_dict(data: dict) -> CarpetSpec:
+    """The carpet of decoded JSON {"n", "m", "digits"}, with optional
+    "hratios" and "vratios"."""
 
     def field(name, parse):
         return json_field(data, name, parse, CarpetError, "carpet")

@@ -27,7 +27,14 @@ import sys
 from . import automaton as automaton_mod
 from . import cross as cross_mod
 from .automaton import SigmaAutomaton, build_topology_automaton, is_infinite
-from .carpet import CarpetError, CarpetSpec, check_conditions, parse_carpet, profile
+from .carpet import (
+    CarpetError,
+    CarpetSpec,
+    carpet_from_dict,
+    check_conditions,
+    parse_carpet,
+    profile,
+)
 from .cross import CrossAutomaton
 from .errors import InternalError
 from .geometry import render_svg
@@ -59,16 +66,18 @@ def _load(path: str) -> CarpetSpec | CrossAutomaton | SigmaAutomaton:
 
     JSON with PH or PV and no delta is a cross automaton; other JSON
     with delta or N is a sigma automaton; anything else is a carpet.
+    JSON is decoded once, here, and the decoded object goes to its reader.
     """
     text = _read(path)
     stripped = text.strip()
-    if stripped.startswith("{"):
-        data = json.loads(stripped)
-        if ("PH" in data or "PV" in data) and "delta" not in data:
-            return cross_mod.cross_from_json(stripped)
-        if "delta" in data or "N" in data:
-            return automaton_mod.from_json(stripped)
-    return parse_carpet(text)
+    if not stripped.startswith("{"):
+        return parse_carpet(text)
+    data = automaton_mod.json_decode(stripped, InputError)
+    if ("PH" in data or "PV" in data) and "delta" not in data:
+        return cross_mod.cross_from_dict(data)
+    if "delta" in data or "N" in data:
+        return automaton_mod.from_dict(data)
+    return carpet_from_dict(data)
 
 
 def _sigma(source: CarpetSpec | CrossAutomaton | SigmaAutomaton) -> SigmaAutomaton:

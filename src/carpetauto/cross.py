@@ -16,6 +16,7 @@ from .automaton import (
     ID,
     MAX_LETTER,
     SigmaAutomaton,
+    json_decode,
     json_field,
     json_int,
     order_key,
@@ -25,6 +26,7 @@ from .automaton import (
 E1 = (1, 0)
 E2 = (0, 1)
 AXIS_STATES = (E1, (-1, 0), E2, (0, -1))
+RELATION_NAMES = ("PH", "PV", "Pe1", "Pe2")
 
 
 class CrossAutomatonError(ValueError):
@@ -36,6 +38,14 @@ class DiagonalStatePresent(CrossAutomatonError):
 
 
 def _as_pairs(pairs):
+    """The relation as a frozenset of pairs of ints.  A frozenset that is
+    one already, as every relation of a stage of a chain is, is kept."""
+    if type(pairs) is frozenset:
+        for p in pairs:
+            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int):
+                break
+        else:
+            return pairs
     return frozenset((int(i), int(j)) for i, j in pairs)
 
 
@@ -53,34 +63,43 @@ class CrossAutomaton:
     Pe2: frozenset
 
     def __post_init__(self):
-        for name in ("PH", "PV", "Pe1", "Pe2"):
-            object.__setattr__(self, name, _as_pairs(getattr(self, name)))
+        relations = [_as_pairs(getattr(self, name)) for name in RELATION_NAMES]
+        for name, rel in zip(RELATION_NAMES, relations):
+            object.__setattr__(self, name, rel)
         N = self.alphabet_size
         if N < 1:
             raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
-        for name in ("PH", "PV", "Pe1", "Pe2"):
-            for i, j in getattr(self, name):
+        for name, rel in zip(RELATION_NAMES, relations):
+            for i, j in rel:
                 if not (1 <= i <= N and 1 <= j <= N):
                     raise CrossAutomatonError(f"letter outside 1..{N} in {name}")
-        for i, j in self.PH | self.PV:
-            if i == j:
-                raise CrossAutomatonError("reflexive pair in an entry relation")
-        if self.PH & self.PV:
+        # A reflexive entry pair is its own transpose, so every pair the
+        # first and last checks look for lies in `mirrored`.
+        entry = self.PH | self.PV
+        mirrored = entry.intersection([(j, i) for i, j in entry])
+        if any(i == j for i, j in mirrored):
+            raise CrossAutomatonError("reflexive pair in an entry relation")
+        if not self.PH.isdisjoint(self.PV):
             raise CrossAutomatonError("PH and PV overlap")
-        trans = {(j, i) for i, j in self.PH | self.PV}
-        if trans & (self.PH | self.PV):
+        if mirrored:
             raise CrossAutomatonError("entry relations overlap their transposes")
 
     def relations(self):
         return {"H": self.PH, "V": self.PV, "e1": self.Pe1, "e2": self.Pe2}
 
-    def induced_automaton(self) -> SigmaAutomaton:
-        """The full transition table over states {Id, ±e1, ±e2, Exit}."""
-        delta = {}
-        for i in range(1, self.alphabet_size + 1):
-            delta[(ID, i, i)] = ID
+    def transition_table(self) -> dict:
+        """(state, i, j) -> state over the states {Id, ±e1, ±e2}, read from
+        the four relations and their transposes; a missing entry is Exit.
+
+        The table is the one `induced_automaton` wraps and the one
+        `decide_triple_coding_free` searches.  The constructor's checks
+        leave no two relations writing one entry: entry pairs are not
+        reflexive, PH and PV are disjoint, and no entry pair is the
+        transpose of another.
+        """
+        delta = {(ID, i, i): ID for i in range(1, self.alphabet_size + 1)}
         for i, j in self.PH:
             delta[(ID, i, j)] = E1
             delta[(ID, j, i)] = (-1, 0)
@@ -93,16 +112,21 @@ class CrossAutomaton:
         for i, j in self.Pe2:
             delta[(E2, i, j)] = E2
             delta[((0, -1), j, i)] = (0, -1)
+        return delta
+
+    def induced_automaton(self) -> SigmaAutomaton:
+        """The sigma automaton of `transition_table`, over the states {Id,
+        ±e1, ±e2, Exit}."""
         states = frozenset({ID, EXIT, *AXIS_STATES})
-        return SigmaAutomaton(self.alphabet_size, states, delta)
+        return SigmaAutomaton(self.alphabet_size, states, self.transition_table())
 
     def to_dict(self) -> dict:
         return {
             "N": self.alphabet_size,
-            "PH": sorted(list(p) for p in self.PH),
-            "PV": sorted(list(p) for p in self.PV),
-            "Pe1": sorted(list(p) for p in self.Pe1),
-            "Pe2": sorted(list(p) for p in self.Pe2),
+            "PH": [list(p) for p in sorted(self.PH)],
+            "PV": [list(p) for p in sorted(self.PV)],
+            "Pe1": [list(p) for p in sorted(self.Pe1)],
+            "Pe2": [list(p) for p in sorted(self.Pe2)],
         }
 
     def to_json(self) -> str:
@@ -110,14 +134,19 @@ class CrossAutomaton:
 
 
 def cross_from_json(text: str) -> CrossAutomaton:
-    data = json.loads(text)
+    return cross_from_dict(json_decode(text, CrossAutomatonError))
+
+
+def cross_from_dict(data: dict) -> CrossAutomaton:
+    """The cross automaton of decoded JSON {"N", "PH", "PV", "Pe1", "Pe2"};
+    a missing relation is empty."""
 
     def field(name, parse):
         return json_field(data, name, parse, CrossAutomatonError, "cross automaton")
 
     N = field("N", json_int)
     relations = [field(name, _json_pairs) if name in data else frozenset()
-                 for name in ("PH", "PV", "Pe1", "Pe2")]
+                 for name in RELATION_NAMES]
     return CrossAutomaton(N, *relations)
 
 
@@ -137,7 +166,7 @@ def from_topology_automaton(M: SigmaAutomaton) -> CrossAutomaton:
             rels["Pe1"].add((i, j))
         elif s == E2 and t == E2:
             rels["Pe2"].add((i, j))
-    return CrossAutomaton(M.alphabet_size, *(frozenset(rels[k]) for k in ("PH", "PV", "Pe1", "Pe2")))
+    return CrossAutomaton(M.alphabet_size, *(frozenset(rels[k]) for k in RELATION_NAMES))
 
 
 def check_uniqueness(C: CrossAutomaton):
@@ -164,10 +193,14 @@ def decide_triple_coding_free(C: CrossAutomaton):
     distinct with T(x,y) = T(x,z) = ∞ exactly when some run stays forever
     in joint states with no Id component: a lasso through those states.
 
+    The search reads the relations' own transition table: they were
+    checked when C was built, so no sigma automaton is built and checked
+    again.
+
     Returns (True, None) when the condition holds, else (False, witness)
     with an eventually periodic witness triple.
     """
-    return search_triples(C.induced_automaton(), lambda js: ID not in js, lasso=True)
+    return search_triples(C.transition_table(), lambda js: ID not in js, lasso=True)
 
 
 def validate(C: CrossAutomaton):

@@ -164,7 +164,7 @@ def quotient_classes(M: SigmaAutomaton, words):
     """
     if not mirror_check(M):
         raise AsymmetricAutomaton("quotient classes need a mirror-symmetric automaton")
-    ok, witness = search_triples(M, lambda js: type(js[2]) is int, lasso=True)
+    ok, witness = search_triples(M.delta, lambda js: type(js[2]) is int, lasso=True)
     if not ok:
         raise IntransitivitySample(witness)
     words = list(words)

@@ -287,13 +287,15 @@ def test_each_request_builds_each_carpet_once(carpet_file, tmp_path, monkeypatch
         assert (len(oracles), len(automata)) == (carpets, carpets), argv[0]
 
 
-def test_simplify_classifies_each_stage_once(tmp_path, monkeypatch, capsys):
+def test_simplify_classifies_the_input_once(tmp_path, monkeypatch, capsys):
+    # the class of each stage follows from the input's: see
+    # test_simplify.py::test_each_step_carries_the_class_classify_gives
     path = tmp_path / "chain2.txt"
     path.write_text(CHAIN2_CARPET.to_grid())
     calls = spy(monkeypatch, cross, "classify")
     assert run(["simplify", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_simplify_decides_triple_coding_once_per_chain(tmp_path, monkeypatch, capsys):
@@ -381,6 +383,41 @@ def test_each_command_takes_the_input_kinds_readme_states(command, tmp_path):
         for kind in INPUT_KINDS
     )
     assert codes == ACCEPTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTS))
+def test_every_command_words_invalid_json_alike(command, tmp_path):
+    extra = {"equiv": [tmp_path / "grid"], "survive": ["(1)", "(2)"], "render": ["--depth", "1"]}
+    (tmp_path / "grid").write_text(SQUARE_TOP_5.to_grid())
+    cases = (
+        ("{oops", "error: invalid JSON: Expecting property name"),
+        # deeper than the decoder's recursion: exit 3, not a traceback
+        ('{"N": ' + "[" * 100_000 + "]" * 100_000 + "}", "error: invalid JSON: maximum recursion"),
+    )
+    for text, message in cases:
+        (tmp_path / "bad.json").write_text(text)
+        code, out, err = run_captured([command, tmp_path / "bad.json", *extra.get(command, [])])
+        assert (code, out) == (3, ""), text[:8]
+        assert err.startswith(message) and "Traceback" not in err, err
+
+
+def test_a_json_source_is_decoded_once(tmp_path, monkeypatch):
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+    M = automaton.build_topology_automaton(SQUARE_TOP_5)
+    sources = {
+        "carpet": SQUARE_TOP_5.to_json(),
+        "cross": cross.from_topology_automaton(M).to_json(),
+        "sigma": automaton.to_json(M),
+    }
+    for kind, text in sources.items():
+        (tmp_path / kind).write_text(text)
+        for argv in (["automaton", tmp_path / kind], ["simplify", tmp_path / kind],
+                     ["survive", tmp_path / kind, "(1)", "(2)"]):
+            decoded.clear()
+            assert run_captured(argv)[0] == 0, (kind, argv[0])
+            assert len(decoded) == 1, (kind, argv[0])
 
 
 def test_cross_json_with_delta_means_one_thing_to_every_command(tmp_path):

@@ -83,6 +83,49 @@ def test_induced_automaton_mirrors_relations():
     assert mirror_check(CARPET_8.induced_automaton())
 
 
+def reference_table(C):
+    """The transition table of C from the definition, entry by entry over
+    every state and input pair: Id stays on the diagonal and enters ±e1
+    (±e2) on PH (PV) and its transpose; e1 (e2) loops on Pe1 (Pe2) and
+    -e1 (-e2) on its transpose."""
+    E1, E2, W, S = (1, 0), (0, 1), (-1, 0), (0, -1)
+    delta = {}
+    letters = range(1, C.alphabet_size + 1)
+    for i, j in itertools.product(letters, letters):
+        rules = ((ID, ID, i == j), (ID, E1, (i, j) in C.PH), (ID, W, (j, i) in C.PH),
+                 (ID, E2, (i, j) in C.PV), (ID, S, (j, i) in C.PV),
+                 (E1, E1, (i, j) in C.Pe1), (W, W, (j, i) in C.Pe1),
+                 (E2, E2, (i, j) in C.Pe2), (S, S, (j, i) in C.Pe2))
+        for state, target, holds in rules:
+            if holds:
+                assert (state, i, j) not in delta, (C, state, i, j)
+                delta[(state, i, j)] = target
+    return delta
+
+
+def test_transition_table_is_the_definition_and_a_valid_sigma_table():
+    """The table the triple search reads, on random cross automata whose
+    relations need not be matchings: it is the definition's table, and
+    the SigmaAutomaton constructor accepts it unchanged."""
+    rng = random.Random(20261020)
+    checked = matchings = 0
+    while checked < 2000:
+        N = rng.randint(1, 7)
+        pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+        try:
+            C = CrossAutomaton(N, *(set(rng.sample(pairs, rng.randint(0, min(N + 2, len(pairs)))))
+                                    for _ in range(4)))
+        except CrossAutomatonError:
+            continue
+        checked += 1
+        matchings += not check_uniqueness(C)
+        table = C.transition_table()
+        assert table == reference_table(C), C
+        assert C.induced_automaton().delta == table, C
+        assert mirror_check(C.induced_automaton()), C
+    assert 200 <= matchings <= 1800, matchings
+
+
 def test_extraction_round_trip_from_carpets():
     for spec in (SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11):
         M = build_topology_automaton(spec)

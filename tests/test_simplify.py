@@ -1,12 +1,24 @@
 import json
+import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from carpetauto.automaton import build_topology_automaton
-from carpetauto.cross import CrossAutomaton, CrossAutomatonError, classify, from_topology_automaton
+from carpetauto.carpet import parse_carpet
+from carpetauto.cross import (
+    CrossAutomaton,
+    CrossAutomatonError,
+    DiagonalStatePresent,
+    classify,
+    cross_from_json,
+    from_topology_automaton,
+)
 from carpetauto.simplify import NotClass2, final_chain, one_step
 
 from conftest import CHAIN2_CARPET, SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11
+from test_cross import class12_carpet
 
 
 def carpet_cross(spec):
@@ -57,6 +69,76 @@ def test_a_step_carries_the_class_of_its_result():
     chain = final_chain(carpet_cross(CHAIN2_CARPET))
     assert [s.after_class.kind for s in chain.steps] == ["Class2", "Class0"]
     assert all(s.after_class == classify(s.after) for s in chain.steps)
+
+
+def random_matching(rng, letters, size):
+    """A random partial matching of at most `size` edges on the letters,
+    with no reflexive pair."""
+    sources = rng.sample(letters, min(size, len(letters)))
+    targets = rng.sample(letters, len(sources))
+    return {(i, j) for i, j in zip(sources, targets) if i != j}
+
+
+def random_class2_chain_inputs(rng):
+    """Class-1/2 cross automata: those of random carpets biased towards
+    Class 1 and 2, and random partial matchings around Pe2 = {(gamma, lam)}
+    (these are not all free of triple coding, so their chains are built
+    without validation)."""
+    while True:
+        if rng.random() < 0.5:
+            spec = class12_carpet(rng)
+            try:
+                C = from_topology_automaton(build_topology_automaton(spec))
+            except DiagonalStatePresent:
+                continue
+            cls, validate_stages = classify(C, origin=spec), True
+        else:
+            N = rng.randint(3, 10)
+            gamma, lam = rng.sample(range(1, N + 1), 2)
+            others = [a for a in range(1, N + 1) if a != gamma]
+            try:
+                C = CrossAutomaton(N, random_matching(rng, others, rng.randint(0, N)),
+                                   random_matching(rng, others, rng.randint(1, N)),
+                                   random_matching(rng, others, rng.randint(0, N)),
+                                   {(gamma, lam)})
+            except CrossAutomatonError:
+                continue
+            cls, validate_stages = classify(C), False
+        if cls.kind in ("Class1", "Class2"):
+            try:
+                yield C, final_chain(C, validate_stages)
+            except CrossAutomatonError:
+                continue
+
+
+def catalog_chains():
+    """The cross automata of the benchmark catalog's simplify inputs."""
+    catalog = Path(__file__).resolve().parents[1] / "bench" / "data" / "catalog.json"
+    simplify = json.loads(catalog.read_text())["simplify"]
+    for entry in [*(e for entries in simplify["classes"].values() for e in entries),
+                  simplify["accepted"]]:
+        text = entry["text"]
+        if text.lstrip().startswith("{"):
+            yield cross_from_json(text)
+        else:
+            yield carpet_cross(parse_carpet(text))
+
+
+def test_each_step_carries_the_class_classify_gives():
+    """one_step reads the class of its result from its input's class; on
+    random Class-1/2 chains and on the catalog's simplify inputs it is
+    the class that classify gives the result."""
+    rng = random.Random(20261020)
+    kinds = Counter()
+    inputs = random_class2_chain_inputs(rng)
+    chains = [next(inputs) for _ in range(2000)]
+    chains += [(C, final_chain(C)) for C in catalog_chains()]
+    for C, chain in chains:
+        assert len(chain.steps) == len(C.PV) > 0, C
+        for step in chain.steps:
+            assert step.after_class == classify(step.after), step
+            kinds[step.after_class.kind] += 1
+    assert kinds["Class2"] >= 2000 and kinds["Class0"] == len(chains), kinds
 
 
 def test_chain_rejects_relations_that_are_not_matchings():

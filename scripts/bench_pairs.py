@@ -35,11 +35,6 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds T --trace X"
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def unpack(rev: str, dest: Path) -> Path:
     """The committed files of `rev`, unpacked into `dest` (emptied first)."""
     shutil.rmtree(dest, ignore_errors=True)
@@ -115,7 +110,9 @@ def main(argv=None) -> int:
     try:
         sides = {}
         for side in ("parent", "change"):
-            commit = git("rev-parse", "--short", getattr(args, side))
+            commit = subprocess.run(["git", "rev-parse", "--short", getattr(args, side)],
+                                    cwd=ROOT, check=True, capture_output=True,
+                                    text=True).stdout.strip()
             sides[side] = (commit, unpack(commit, workdir / f"{side}-{commit}"))
         meta = {"label": args.label, "change": args.change_text, "protocol": args.protocol}
         seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds

@@ -122,13 +122,14 @@ def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> Simplificati
     """Iterate one_step until PV is empty; Class-0 input gives an empty chain.
 
     Only the input is classified: each step reads the class of its result
-    from the class of its input (see `one_step`).  one_step relies on every relation being a partial matching, so an
-    input that is not one is rejected before the first step.  With
-    `validate_stages` the input must also pass every cross axiom
-    (`validate`), and that one check covers every stage: a stage is the
-    input with some PV edges deleted, a subset of a partial matching is
-    one, and deleting transitions only shortens surviving times, so a
-    triple coding of a stage is a triple coding of the input too.
+    from the class of its input (see `one_step`).  one_step relies on
+    every relation being a partial matching, so an input that is not one
+    is rejected before the first step.  With `validate_stages` the input
+    must also pass every cross axiom (`validate`), and that one check
+    covers every stage: a stage is the input with some PV edges deleted,
+    a subset of a partial matching is one, and deleting transitions only
+    shortens surviving times, so a triple coding of a stage is a triple
+    coding of the input too.
     """
     cls = classify(C)
     if cls.kind == "Class0":

@@ -147,10 +147,6 @@ class SigmaAutomaton:
             return EXIT
         return self.delta.get((state, i, j), EXIT)
 
-    def successors(self) -> dict:
-        """(state, i) -> [(j, target)] over the targets that are not Exit, j ascending."""
-        return successor_index(self.delta)
-
     def letters(self):
         return range(1, self.alphabet_size + 1)
 

@@ -41,14 +41,14 @@ class SimplificationStep:
         gamma, lam = self.top_bottom
         return kappa not in (gamma, lam) and tau != gamma
 
-    def to_dict(self, before: dict | None = None, after: dict | None = None):
-        """The step as JSON; `before` and `after` are the stages' own
-        dicts when the caller has them already."""
+    def to_dict(self, before: dict, after: dict):
+        """The step as JSON around `before` and `after`, the dicts of its
+        two stages, which the chain builds once per stage."""
         return {
             "deleted": list(self.deleted),
             "topBottom": list(self.top_bottom),
-            "before": self.before.to_dict() if before is None else before,
-            "after": self.after.to_dict() if after is None else after,
+            "before": before,
+            "after": after,
             "gSupported": self.g_supported,
         }
 

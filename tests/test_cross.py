@@ -12,6 +12,7 @@ from carpetauto.automaton import (
     build_topology_automaton,
     is_infinite,
     mirror_check,
+    successor_index,
     surviving_time,
 )
 from carpetauto.cross import (
@@ -215,7 +216,7 @@ def reference_triple_coding_free(C):
     """The hand-written search that decide_triple_coding_free ran before
     it became a rule of automaton.search_triples, kept as a reference."""
     M = C.induced_automaton()
-    succ = M.successors()
+    succ = successor_index(M.delta)
     inputs = {}
     for state, i in sorted(succ, key=lambda key: key[1]):
         inputs.setdefault(state, []).append(i)
@@ -381,7 +382,7 @@ def reference_classify(C):
                 "Unclassified", top=gamma, bottom=lam,
                 reason=f"top vertex not isolated in {which}",
             )
-    succ = C.induced_automaton().successors()
+    succ = successor_index(C.induced_automaton().delta)
     for t1, s1 in succ.get((ID, lam), ()):
         if t1 != lam and (s1, lam) in succ:
             t2 = succ[(s1, lam)][0][0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, cycle
 
 from .words import PeriodicWord
 
@@ -190,16 +191,20 @@ def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):
     Once both words are inside their periodic parts the pair of inputs is
     periodic with period lcm(|per_x|, |per_y|), so if no exit occurs
     within one full sweep of (state, phase) combinations the itinerary
-    repeats forever.
+    repeats forever.  Each word is read as its preperiod followed by its
+    period cycled, zipped with range(bound), and each step is one lookup
+    in the transition table, a missing entry being Exit.
     """
     pre = max(len(x.preperiod), len(y.preperiod))
-    cycle = math.lcm(len(x.period), len(y.period))
-    bound = pre + cycle * len(M.states) + 1
+    cycle_len = math.lcm(len(x.period), len(y.period))
+    bound = pre + cycle_len * len(M.states) + 1
+    delta = M.delta
+    letters = zip(chain(x.preperiod, cycle(x.period)), chain(y.preperiod, cycle(y.period)))
     state = ID
-    for k in range(1, bound + 1):
-        state = M.step(state, x.letter(k), y.letter(k))
+    for k, (i, j) in zip(range(bound), letters):
+        state = delta.get((state, i, j), EXIT)
         if state == EXIT:
-            return k - 1
+            return k
     return INFINITE
 
 
@@ -218,22 +223,29 @@ def mirror_check(M: SigmaAutomaton) -> bool:
 def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     """Violations of min{T(x,y), T(x,z)} <= T(y,z) + t0 over the samples.
 
-    Each (x, y, z) triple is checked in all three apex roles.  Infinite
-    plus t0 is infinite, so an infinite right-hand side never fails.
+    Each (x, y, z) triple is checked in all three apex roles, from the
+    three times of its pairs, computed once per triple.  A pair's time
+    is T(a, b) with a the word of the smaller (preperiod, period), so
+    both orders of a pair read the same time.  Infinite plus t0 is
+    infinite, so an infinite right-hand side never fails.  A violation
+    is (apex, u, v, lhs, rhs) for the apexes x, y, z in turn.
+
+    Only the benchmark's verify workload calls this sampled check; it
+    stays until that workload times the exact `decide_feasibility`
+    instead (ROADMAP item 5).
     """
-    violations = []
-    cache = {}
 
     def t(a, b):
-        key = (a, b) if (a.preperiod, a.period) <= (b.preperiod, b.period) else (b, a)
-        if key not in cache:
-            cache[key] = surviving_time(M, key[0], key[1])
-        return cache[key]
+        if (a.preperiod, a.period) <= (b.preperiod, b.period):
+            return surviving_time(M, a, b)
+        return surviving_time(M, b, a)
 
+    violations = []
     for x, y, z in triples:
-        for apex, u, v in ((x, y, z), (y, x, z), (z, x, y)):
-            lhs = min(t(apex, u), t(apex, v))
-            rhs = t(u, v)
+        txy, txz, tyz = t(x, y), t(x, z), t(y, z)
+        for apex, u, v, lhs, rhs in ((x, y, z, min(txy, txz), tyz),
+                                     (y, x, z, min(txy, tyz), txz),
+                                     (z, x, y, min(txz, tyz), txy)):
             if lhs > rhs + t0:
                 violations.append((apex, u, v, lhs, rhs))
     return violations
@@ -350,19 +362,32 @@ def random_word(rng, N: int) -> PeriodicWord:
     return PeriodicWord(pre, per)
 
 
+def _state_tables(M: SigmaAutomaton):
+    """Every state's name, keyed in `order_key` order, and its rank in
+    that order: built once per automaton, not once per transition."""
+    states = sorted(M.states, key=order_key)
+    return {s: state_name(s) for s in states}, {s: r for r, s in enumerate(states)}
+
+
+def _ordered_delta(M: SigmaAutomaton, rank: dict):
+    """The transitions by source state in `order_key` order, then letters."""
+    return sorted(M.delta.items(), key=lambda kv: (rank[kv[0][0]], kv[0][1:]))
+
+
 def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
     """Graphviz rendering with deterministic node and edge order."""
+    name, rank = _state_tables(M)
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
-    for s in sorted(M.states, key=order_key):
+    for s, label in name.items():
         if s == EXIT and not include_exit:
             continue
         shape = ' shape=doublecircle' if s == ID else ""
-        lines.append(f'  "{state_name(s)}" [label="{state_name(s)}"{shape}];')
+        lines.append(f'  "{label}" [label="{label}"{shape}];')
     edges = {}
-    for (s, i, j), t in sorted(M.delta.items(), key=lambda kv: (order_key(kv[0][0]), kv[0][1:])):
+    for (s, i, j), t in _ordered_delta(M, rank):
         if t == EXIT and not include_exit:
             continue
-        edges.setdefault((state_name(s), state_name(t)), []).append(f"{i},{j}")
+        edges.setdefault((name[s], name[t]), []).append(f"{i},{j}")
     for (src, dst), labels in sorted(edges.items()):
         lines.append(f'  "{src}" -> "{dst}" [label="{" | ".join(labels)}"];')
     lines.append("}")
@@ -370,14 +395,9 @@ def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
 
 
 def to_json(M: SigmaAutomaton) -> str:
-    states = [state_name(s) for s in sorted(M.states, key=order_key)]
-    delta = {
-        f"{state_name(s)}|{i},{j}": state_name(t)
-        for (s, i, j), t in sorted(
-            M.delta.items(), key=lambda kv: (order_key(kv[0][0]), kv[0][1:])
-        )
-    }
-    return json.dumps({"N": M.alphabet_size, "states": states, "delta": delta})
+    name, rank = _state_tables(M)
+    delta = {f"{name[s]}|{i},{j}": name[t] for (s, i, j), t in _ordered_delta(M, rank)}
+    return json.dumps({"N": M.alphabet_size, "states": list(name.values()), "delta": delta})
 
 
 def from_json(text: str) -> SigmaAutomaton:

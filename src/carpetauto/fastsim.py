@@ -2,9 +2,12 @@
 
 The property suites need all-pairs surviving times over thousands of
 words; simulating each pair separately is far too slow.  `time_matrix`
-reads the first step of a band of rows from the Id slice of the
-transition table, then advances only the pairs still alive, one input
-step at a time, with one gather into the flattened table per step.
+fills a flat W*W matrix with zeros and reads the first step of a band of
+rows from the Id slice of the transition table, so a pair that exits at
+step 1 keeps its 0.  It then advances only the pairs still alive, held
+as flat indices into the matrix, one input step at a time, with one
+gather into the flattened table per step; an exit is written at its flat
+index, and the band's survivors get INF once, at the end.
 `check_feasibility_matrix` counts the violating triples of a time
 matrix exactly with one matrix product per distinct value of T + t0.
 """
@@ -80,11 +83,18 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     |states| steps, so simulating max stem length + |states| + 1 steps
     decides every pair; survivors at the horizon are infinite (INF).
 
-    Pairs are simulated in bands of whole rows.  Every pair starts at Id,
-    so step 1 of a band is read from the Id slice of the transition table.
-    After that only the band's pairs still alive are stepped, as flat
-    arrays of row, column and state; a pair that exits at step k+1 was
-    alive for k steps and gets T = k.
+    Every letter must lie in 1..N; any other raises ValueError, which
+    names the first one in row order.
+
+    T starts as a zero-filled flat array of W*W entries, and pairs are
+    simulated in bands of whole rows.  Every pair starts at Id, so step 1
+    of a band is read from the Id slice of the transition table, and a
+    pair that exits there keeps T = 0.  After that only the band's pairs
+    still alive are stepped, as flat indices row*W + col into T, with
+    their rows and columns from one divmod, and their states; a pair that
+    exits at step k+1 was alive for k steps, and T = k is written at its
+    flat index.  The pairs of the band still alive when its loop ends get
+    INF, once.
 
     A band stops early at the first step k >= max stem length at which
     none of its live pairs changes state.  From step k on every word reads
@@ -96,10 +106,15 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     steps = stem_len + len(M.states) + 1
     tab, id_idx, exit_idx = transition_table(M)
     X = stems_to_array(stems, tails, steps)
+    N = M.alphabet_size
+    inside = (X >= 1) & (X <= N)
+    if not inside.all():
+        bad = X.ravel()[np.argmin(inside.ravel())]
+        raise ValueError(f"letter {bad} outside the alphabet 1..{N}")
     W = len(stems)
     if not W:
         return np.empty((0, 0), dtype=np.int64)
-    T = np.empty((W, W), dtype=np.int64)
+    T = np.zeros(W * W, dtype=np.int64)
     # A state s is held as its offset s*L*L into the flattened table, so
     # one take reads tab[s, i, j] at s*L*L + i*L + j.
     L = tab.shape[1]
@@ -110,26 +125,24 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     band = max(1, PAIR_BLOCK // W)
     for r0 in range(0, W, band):
         first = tab[id_idx].take(X[r0 : r0 + band, 0], axis=0).take(X[:, 0], axis=1)
-        alive = first != exit_idx
-        T[r0 : r0 + band] = np.where(alive, INF, np.int64(0))
-        pairs = np.flatnonzero(alive)
+        pairs = np.flatnonzero(first != exit_idx)
         state = first.ravel().take(pairs).astype(np.intp) * (L * L)
         pairs += r0 * W
-        rows = pairs // W
-        cols = pairs - rows * W
+        rows, cols = np.divmod(pairs, W)
         for k in range(1, steps):
             nxt = succ.take(state + row_part[k].take(rows) + col_part[k].take(cols))
             if k >= stem_len and np.array_equal(nxt, state):
                 break
             gone = nxt == gone_at
             if gone.any():
-                T[rows[gone], cols[gone]] = k
+                T[pairs[gone]] = k
                 keep = ~gone
-                rows, cols, nxt = rows[keep], cols[keep], nxt[keep]
-                if not rows.size:
+                pairs, rows, cols, nxt = pairs[keep], rows[keep], cols[keep], nxt[keep]
+                if not pairs.size:
                     break
             state = nxt
-    return T
+        T[pairs] = INF
+    return T.reshape(W, W)
 
 
 def check_feasibility_matrix(T: np.ndarray, t0: int = 1) -> int:

@@ -117,6 +117,68 @@ def test_surviving_time_matches_brute_force():
             assert t == brute
 
 
+E1, NE1, E2 = (1, 0), (-1, 0), (0, 1)
+
+
+def lopsided_automaton() -> SigmaAutomaton:
+    """A 3-letter automaton that fails mirror_check.  e1 moves to e2 on
+    the input (3,3) and stays on every other, e2 exits on (3,3) and stays
+    on every other, and -e1 survives only (1,1) and (2,2).  So T(1.u, 2.v)
+    ends at the second step at which both words read 3, often after many
+    steps or never, while T(2.v, 1.u) ends early."""
+    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (3, 3)]
+    delta = {(ID, i, i): ID for i in (1, 2, 3)}
+    delta.update({(ID, 1, 2): E1, (ID, 2, 1): NE1, (NE1, 1, 1): NE1, (NE1, 2, 2): NE1,
+                  (E1, 3, 3): E2})
+    delta.update({(s, i, j): s for s in (E1, E2) for i, j in pairs})
+    return SigmaAutomaton(3, frozenset({ID, EXIT, E1, NE1, E2}), delta)
+
+
+def brute_force_time(M, x, y, horizon=1000):
+    """Step the pair far beyond the repetition bound."""
+    state = ID
+    for k in range(1, horizon):
+        state = M.step(state, x.letter(k), y.letter(k))
+        if state == EXIT:
+            return k - 1
+    return INFINITE
+
+
+def word_with_period(rng, first, letters, length):
+    """first, up to two more letters, then a primitive period of `length`
+    letters, all drawn from `letters`."""
+    while True:
+        pre = (first,) + tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+        w = PeriodicWord(pre, tuple(rng.choice(letters) for _ in range(length)))
+        if len(w.period) == length:
+            return w
+
+
+def test_surviving_time_matches_brute_force_with_coprime_periods():
+    # Periods of 4 and 5 letters repeat jointly only every lcm = 20 steps.
+    # On the full 2x2 grid, 1.u against 2.v with u over the right column
+    # {2, 4} and v over the left column {1, 3} walks e1, e1+e2 and e1-e2
+    # before it exits.  On the lopsided automaton the pair exits at the
+    # second joint 3, which may come later than a bound built from the
+    # longer period alone, 3 + 5 * |states| + 1, or never.
+    full_grid = build_topology_automaton(CarpetSpec(2, 2, ((0, 0), (1, 0), (0, 1), (1, 1))))
+    rng = random.Random(45)
+    for M, x_letters, y_letters in ((full_grid, (2, 4), (1, 3)),
+                                    (lopsided_automaton(), (1, 2, 3), (1, 2, 3))):
+        times = []
+        for _ in range(300):
+            x = word_with_period(rng, 1, x_letters, 4)
+            y = word_with_period(rng, 2, y_letters, 5)
+            for a, b in ((x, y), (y, x)):
+                t = surviving_time(M, a, b)
+                assert t == brute_force_time(M, a, b), (a, b)
+                times.append(t)
+        finite = [t for t in times if not is_infinite(t)]
+        assert max(finite) > 5
+        if M is not full_grid:
+            assert max(finite) > 4 + 5 * len(M.states) and INFINITE in times
+
+
 def test_mirror_symmetry_of_carpet_automata():
     for spec in (SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11):
         assert mirror_check(build_topology_automaton(spec))
@@ -154,6 +216,49 @@ def test_feasibility_holds_on_carpet_automata():
             for _ in range(150)
         ]
         assert check_feasibility(M, 1, triples) == []
+
+
+def cached_check_feasibility(M, t0, triples):
+    """Reference: the sampled check with a closure cache keyed by the
+    word pair, each pair read with the word of the smaller (preperiod,
+    period) first."""
+    violations = []
+    cache = {}
+
+    def t(a, b):
+        key = (a, b) if (a.preperiod, a.period) <= (b.preperiod, b.period) else (b, a)
+        if key not in cache:
+            cache[key] = surviving_time(M, key[0], key[1])
+        return cache[key]
+
+    for x, y, z in triples:
+        for apex, u, v in ((x, y, z), (y, x, z), (z, x, y)):
+            lhs = min(t(apex, u), t(apex, v))
+            rhs = t(u, v)
+            if lhs > rhs + t0:
+                violations.append((apex, u, v, lhs, rhs))
+    return violations
+
+
+def test_check_feasibility_matches_the_cached_reference():
+    rng = random.Random(15)
+    nine = EXTENDED_9.induced_automaton()
+    witness = tuple(map(parse_word, ("1.5.5(1)", "1.9(1)", "2(1)")))
+    assert check_feasibility(nine, 1, [witness]) == [(*witness, 3, 1)]
+    lopsided = lopsided_automaton()
+    assert not mirror_check(lopsided)
+    cases = (
+        (nine, [witness] + [tuple(random_word(rng, 9) for _ in range(3)) for _ in range(150)]),
+        (lopsided, [tuple(random_word(rng, 3) for _ in range(3)) for _ in range(150)]),
+    )
+    for M, triples in cases:
+        for t0 in (0, 1, 2):
+            expected = cached_check_feasibility(M, t0, triples)
+            assert check_feasibility(M, t0, triples) == expected, (M, t0)
+        assert cached_check_feasibility(M, 0, triples)
+    # the lopsided times depend on the pair order, so the order rule is read
+    assert any(surviving_time(lopsided, a, b) != surviving_time(lopsided, b, a)
+               for x, y, z in cases[1][1] for a, b in ((x, y), (x, z), (y, z)))
 
 
 def violation_times(M, x, y, z, t0):

@@ -11,7 +11,7 @@ from carpetauto.automaton import (
     is_infinite,
     surviving_time,
 )
-from carpetauto.carpet import CarpetSpec
+from carpetauto.carpet import CarpetSpec, parse_carpet
 from carpetauto.fastsim import (
     INF,
     MAX_LETTER,
@@ -54,6 +54,18 @@ def test_stems_to_array_refuses_stems_longer_than_steps():
     ):
         with pytest.raises(ValueError, match=f"letter {bad} outside"):
             stems_to_array(stems, tails, 3)
+
+
+def test_time_matrix_refuses_letters_outside_the_alphabet():
+    # #.#/.#./#.# has 5 letters.  Letter 0 used to read as Exit, so the
+    # word 0.3^inf had T = 0 against itself, and letter 7 ended in an
+    # IndexError.  The first bad letter in row order is named.
+    M = build_topology_automaton(parse_carpet("#.#\n.#.\n#.#"))
+    for stems, tails, bad in (([(1,), (0,)], [2, 3], 0), ([(1,), (7,)], [2, 3], 7),
+                              ([(1, 9), (0,)], [2, 3], 9), ([(1,), (2,)], [6, 0], 6)):
+        with pytest.raises(ValueError, match=f"letter {bad} outside the alphabet 1..5"):
+            time_matrix(M, stems, tails)
+    assert time_matrix(M, [(1,), (5,)], [2, 3])[1, 1] == INF
 
 
 def scalar_times(M, stems, tails):

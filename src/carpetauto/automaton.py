@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, cycle
 
 from .words import PeriodicWord
 
@@ -191,17 +190,19 @@ def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):
     Once both words are inside their periodic parts the pair of inputs is
     periodic with period lcm(|per_x|, |per_y|), so if no exit occurs
     within one full sweep of (state, phase) combinations the itinerary
-    repeats forever.  Each word is read as its preperiod followed by its
-    period cycled, zipped with range(bound), and each step is one lookup
-    in the transition table, a missing entry being Exit.
+    repeats forever.  The k-th letters are read by index from the
+    preperiod and period tuples, and each step is one lookup in the
+    transition table, a missing entry being Exit.  Most pairs exit within
+    a step or two, so the loop builds nothing before its first step.
     """
-    pre = max(len(x.preperiod), len(y.preperiod))
-    cycle_len = math.lcm(len(x.period), len(y.period))
-    bound = pre + cycle_len * len(M.states) + 1
+    xp, xq, yp, yq = x.preperiod, x.period, y.preperiod, y.period
+    nxp, nxq, nyp, nyq = len(xp), len(xq), len(yp), len(yq)
+    bound = max(nxp, nyp) + math.lcm(nxq, nyq) * len(M.states) + 1
     delta = M.delta
-    letters = zip(chain(x.preperiod, cycle(x.period)), chain(y.preperiod, cycle(y.period)))
     state = ID
-    for k, (i, j) in zip(range(bound), letters):
+    for k in range(bound):
+        i = xp[k] if k < nxp else xq[(k - nxp) % nxq]
+        j = yp[k] if k < nyp else yq[(k - nyp) % nyq]
         state = delta.get((state, i, j), EXIT)
         if state == EXIT:
             return k

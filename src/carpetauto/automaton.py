@@ -70,8 +70,8 @@ class AutomatonError(ValueError):
 
 
 # The largest alphabet, and the largest division count of a carpet.  The
-# time matrices store letters as uint8, and the bound keeps a few bytes of
-# input such as {"N": 100000000} from starting a loop over every letter or row.
+# bound keeps a few bytes of input such as {"N": 100000000} from starting
+# a loop over every letter or row.
 MAX_LETTER = 255
 
 
@@ -134,6 +134,8 @@ class SigmaAutomaton:
         for (s, i, j), t in self.delta.items():
             if s == EXIT or s not in self.states or t not in self.states:
                 raise AutomatonError(f"transition ({s}, {i}, {j}) -> {t} leaves the state set")
+            if not type(i) is type(j) is int:  # a bool, 1.5 or '3' is no letter
+                raise AutomatonError(f"non-integer letter in transition ({s}, {i!r}, {j!r})")
             if not (1 <= i <= N and 1 <= j <= N):
                 raise AutomatonError(f"letter outside 1..{N} in transition ({s}, {i}, {j})")
         bad = [(i, j) for (s, i, j), t in self.delta.items() if s == ID and t == ID and i != j]
@@ -375,18 +377,18 @@ def _ordered_delta(M: SigmaAutomaton, rank: dict):
     return sorted(M.delta.items(), key=lambda kv: (rank[kv[0][0]], kv[0][1:]))
 
 
-def to_dot(M: SigmaAutomaton, include_exit: bool = False) -> str:
-    """Graphviz rendering with deterministic node and edge order."""
+def to_dot(M: SigmaAutomaton) -> str:
+    """Graphviz rendering without Exit, in deterministic node and edge order."""
     name, rank = _state_tables(M)
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
     for s, label in name.items():
-        if s == EXIT and not include_exit:
+        if s == EXIT:
             continue
         shape = ' shape=doublecircle' if s == ID else ""
         lines.append(f'  "{label}" [label="{label}"{shape}];')
     edges = {}
     for (s, i, j), t in _ordered_delta(M, rank):
-        if t == EXIT and not include_exit:
+        if t == EXIT:
             continue
         edges.setdefault((name[s], name[t]), []).append(f"{i},{j}")
     for (src, dst), labels in sorted(edges.items()):

@@ -15,9 +15,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .automaton import SigmaAutomaton, build_topology_automaton, surviving_time
+from .automaton import build_topology_automaton, surviving_time
 from .carpet import CarpetSpec, check_conditions, h_blocks, profile, row_pairs
-from .cross import from_topology_automaton
+from .cross import CrossAutomaton, DiagonalStatePresent, from_topology_automaton
 from .errors import InternalError
 from .simplify import final_chain
 from .words import PeriodicWord
@@ -74,7 +74,8 @@ def build_letter_bijection(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
     relation and the wrap-around relation of both carpets.
     """
     bij = _match_blocks(E, F)
-    _verify_preservation(build_topology_automaton(E), build_topology_automaton(F), bij)
+    ce, cf = (from_topology_automaton(build_topology_automaton(X)) for X in (E, F))
+    _verify_preservation(ce, cf, bij)
     return bij
 
 
@@ -99,9 +100,7 @@ def _match_blocks(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
     return LetterBijection(mapping, tuple(matching))
 
 
-def _verify_preservation(M_e: SigmaAutomaton, M_f: SigmaAutomaton, bij: LetterBijection):
-    ce = from_topology_automaton(M_e)
-    cf = from_topology_automaton(M_f)
+def _verify_preservation(ce: CrossAutomaton, cf: CrossAutomaton, bij: LetterBijection):
     for name, rel_e, rel_f in (("H", ce.PH, cf.PH), ("e1", ce.Pe1, cf.Pe1)):
         image = {(bij(i), bij(j)) for i, j in rel_e}
         if image != rel_f:
@@ -182,8 +181,17 @@ def decide_equivalence(E: CarpetSpec, F: CarpetSpec) -> EquivalenceVerdict:
     )
     if not ok:
         return EquivalenceVerdict("Inconclusive", tuple(reasons), None)
+    # Cross intersection is read from the first-level cylinders, so a topology
+    # automaton can still reach a diagonal state, and then has no cross automaton.
+    crosses = []
+    for side, M in (("E", M_e), ("F", M_f)):
+        try:
+            crosses.append(from_topology_automaton(M))
+        except DiagonalStatePresent as e:
+            record("noDiagonalState", False, f"{side}: {e}")
+            return EquivalenceVerdict("Inconclusive", tuple(reasons), None)
     certificate = _match_blocks(E, F)
-    _verify_preservation(M_e, M_f, certificate)
+    _verify_preservation(*crosses, certificate)
     lipschitz = (
         E.is_fractal_square() and F.is_fractal_square() and E.n == F.n and E.m == F.m
     )

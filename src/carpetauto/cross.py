@@ -37,18 +37,6 @@ class DiagonalStatePresent(CrossAutomatonError):
     """The source automaton reaches a diagonal offset state."""
 
 
-def _as_pairs(pairs):
-    """The relation as a frozenset of pairs of ints.  A frozenset that is
-    one already, as every relation of a stage of a chain is, is kept."""
-    if type(pairs) is frozenset:
-        for p in pairs:
-            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int):
-                break
-        else:
-            return pairs
-    return frozenset((int(i), int(j)) for i, j in pairs)
-
-
 def _json_pairs(pairs):
     """A relation read from JSON, whose letters must be integers."""
     return frozenset((json_int(i), json_int(j)) for i, j in pairs)
@@ -63,16 +51,17 @@ class CrossAutomaton:
     Pe2: frozenset
 
     def __post_init__(self):
-        relations = [_as_pairs(getattr(self, name)) for name in RELATION_NAMES]
-        for name, rel in zip(RELATION_NAMES, relations):
-            object.__setattr__(self, name, rel)
+        for name in RELATION_NAMES:  # a frozenset argument is kept, not copied
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         N = self.alphabet_size
         if N < 1:
             raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
-        for name, rel in zip(RELATION_NAMES, relations):
-            for i, j in rel:
+        for name in RELATION_NAMES:
+            for i, j in getattr(self, name):
+                if not type(i) is type(j) is int:  # a bool, 1.9 or '3' is no letter
+                    raise CrossAutomatonError(f"non-integer letter in {name}: {(i, j)!r}")
                 if not (1 <= i <= N and 1 <= j <= N):
                     raise CrossAutomatonError(f"letter outside 1..{N} in {name}")
         # A reflexive entry pair is its own transpose, so every pair the

@@ -18,7 +18,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .automaton import EXIT, ID, MAX_LETTER, SigmaAutomaton, order_key
+from .automaton import EXIT, ID, SigmaAutomaton, order_key
 
 INF = np.int64(10**9)
 
@@ -40,35 +40,35 @@ def transition_table(M: SigmaAutomaton):
     return tab, index[ID], exit_idx
 
 
-def stems_to_array(stems, tails, steps: int):
-    """Letter matrix, one row per word, padded with the word's tail letter.
+def stems_to_array(stems, tails, steps: int, N: int):
+    """Letter matrix of intp, one row per word, padded with its tail letter.
 
-    Letters are stored as uint8, so they must lie in 0..MAX_LETTER (255);
-    any other letter raises ValueError, which names the first one in row
-    order.  A stem longer than `steps` raises ValueError.
+    Every letter must lie in 1..N; any other raises ValueError, which
+    names the first one in row order, also beyond int64.  A stem longer
+    than `steps` raises ValueError.
     """
     lengths = np.fromiter(map(len, stems), np.intp, len(stems))
     if lengths.max(initial=0) > steps:
         raise ValueError(f"a stem of {lengths.max()} letters exceeds {steps} steps")
     pad = steps - lengths
     in_stem = np.arange(steps) < lengths[:, None]
-    X = np.empty(in_stem.shape, dtype=np.int64)
+    X = np.empty(in_stem.shape, dtype=np.intp)
     try:
         # row-major order: each row's stem letters, then its tail repeats
-        X[in_stem] = np.fromiter(chain.from_iterable(stems), np.int64, int(lengths.sum()))
-        X[~in_stem] = np.repeat(np.fromiter(compress(tails, pad.tolist()), np.int64), pad[pad > 0])
+        X[in_stem] = np.fromiter(chain.from_iterable(stems), np.intp, int(lengths.sum()))
+        X[~in_stem] = np.repeat(np.fromiter(compress(tails, pad.tolist()), np.intp), pad[pad > 0])
     except OverflowError:  # a letter beyond int64, named by the scan below
         pass
     else:
-        if ((X >= 0) & (X <= MAX_LETTER)).all():
-            return X.astype(np.uint8)
+        if ((X >= 1) & (X <= N)).all():
+            return X
     bad = next(
         a
         for s, c in zip(stems, tails)
         for a in chain(s, [c] * (steps - len(s)))
-        if not 0 <= a <= MAX_LETTER
+        if not 1 <= a <= N
     )
-    raise ValueError(f"letter {bad} outside 0..{MAX_LETTER}: letters are stored as uint8")
+    raise ValueError(f"letter {bad} outside the alphabet 1..{N}")
 
 
 # Pairs are stepped in bands of whole rows of about this many pairs, so
@@ -105,12 +105,7 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     stem_len = max(map(len, stems), default=0)
     steps = stem_len + len(M.states) + 1
     tab, id_idx, exit_idx = transition_table(M)
-    X = stems_to_array(stems, tails, steps)
-    N = M.alphabet_size
-    inside = (X >= 1) & (X <= N)
-    if not inside.all():
-        bad = X.ravel()[np.argmin(inside.ravel())]
-        raise ValueError(f"letter {bad} outside the alphabet 1..{N}")
+    X = stems_to_array(stems, tails, steps, M.alphabet_size)
     W = len(stems)
     if not W:
         return np.empty((0, 0), dtype=np.int64)
@@ -120,7 +115,7 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     L = tab.shape[1]
     succ = tab.ravel().astype(np.intp) * (L * L)
     gone_at = exit_idx * L * L
-    col_part = X.T.astype(np.intp)  # col_part[k, w]: word w's letter at step k+1
+    col_part = X.T  # col_part[k, w]: word w's letter at step k+1
     row_part = col_part * L
     band = max(1, PAIR_BLOCK // W)
     for r0 in range(0, W, band):

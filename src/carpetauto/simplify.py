@@ -7,6 +7,7 @@ Iterating empties PV and ends in a Class-0 automaton.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .cross import (
@@ -75,6 +76,12 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     So a Class-1/2 input gives Class 2 while PV is nonempty (Class 1
     needs the carpet, which `classify` is not given here) and Class 0
     once it is empty: `classify` tests PV first.
+
+    The result is a copy of C with the smaller PV, made without running
+    the constructor again: its checks on C still hold, since the letters
+    stay integers in 1..N, entry pairs stay non-reflexive, PH and PV stay
+    disjoint, and the entry set only shrinks, so no entry pair can become
+    the transpose of another.
     """
     if cls is None:
         cls = classify(C)
@@ -85,13 +92,8 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     if not candidates:
         raise InternalError("acyclic nonempty PV must have a V-maximal edge target")
     kappa, tau = candidates[0]
-    after = CrossAutomaton(
-        C.alphabet_size,
-        C.PH,
-        C.PV - {(tau, kappa)},
-        C.Pe1,
-        C.Pe2,
-    )
+    after = copy.copy(C)
+    object.__setattr__(after, "PV", C.PV - {(tau, kappa)})
     if any(i == kappa or j == kappa for i, j in after.PV):
         raise InternalError("deleted target must be V-isolated afterwards")
     if after.PV:

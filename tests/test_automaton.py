@@ -308,7 +308,6 @@ def test_dot_output_is_deterministic():
     assert a == b
     assert a.startswith("digraph")
     assert "Exit" not in a
-    assert "Exit" in to_dot(M, include_exit=True)
 
 
 def reference_automaton(spec) -> SigmaAutomaton:
@@ -353,7 +352,15 @@ def test_topology_automaton_matches_reference_on_random_carpets():
         assert M.delta == R.delta and M.states == R.states, spec
         assert to_json(M) == to_json(R)
         assert to_dot(M) == to_dot(R)
-        assert to_dot(M, include_exit=True) == to_dot(R, include_exit=True)
+
+
+def test_constructor_refuses_letters_that_are_not_integers():
+    states = frozenset({ID, EXIT, (1, 0)})
+    loops = {(ID, 1, 1): ID, (ID, 2, 2): ID}
+    for i, j in ((1.5, 2), (1, "2"), (True, 2)):
+        with pytest.raises(AutomatonError, match="non-integer letter"):
+            SigmaAutomaton(2, states, {**loops, (ID, i, j): (1, 0)})
+    assert SigmaAutomaton(2, states, {**loops, (ID, 1, 2): (1, 0)}).step(ID, 1, 2) == (1, 0)
 
 
 def test_alphabet_bound():

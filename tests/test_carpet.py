@@ -83,6 +83,14 @@ def test_json_digits_must_be_integers():
     assert parse_carpet(json.dumps({**base, "digits": [[1, 2], [0, 0]]})).digits == ((0, 0), (1, 2))
 
 
+def test_constructor_refuses_digits_that_are_not_integers():
+    # int() used to read the digit (0.7, 0) as (0, 0)
+    for digits in (((0.7, 0), (2.2, 2.9)), ((0, 0), ("1", 2)), ((1, 1), (True, 0))):
+        with pytest.raises(CarpetError, match="is not a pair of integers"):
+            CarpetSpec(3, 3, digits)
+    assert CarpetSpec(3, 3, ([1, 2], (0, 0))).digits == ((0, 0), (1, 2))
+
+
 def test_parse_grid_errors():
     with pytest.raises(CarpetError):
         parse_carpet("#.\n#")

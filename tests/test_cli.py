@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import json
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,27 @@ def test_equiv(tmp_path, capsys):
     data = out_json(capsys)
     assert data["status"] == "LipschitzEquivalent"
     assert data["certificate"]["map"]
+
+
+def test_equiv_is_inconclusive_when_an_automaton_reaches_a_diagonal_state(tmp_path, capsys):
+    # The first-level cylinders meet only along edges, so crossIntersection
+    # holds, but the topology automaton reaches (-1, -1) through an axis
+    # state.  equiv used to exit 3 with "state (-1, -1) present".
+    grid = tmp_path / "g.txt"
+    grid.write_text(".#\n..\n##\n..\n#.\n##")
+    assert run(["equiv", str(grid), str(grid)]) == 0
+    data = out_json(capsys)
+    assert data["status"] == "Inconclusive" and data["certificate"] is None
+    assert all(h["passed"] for h in data["hypotheses"][:-1])
+    assert data["hypotheses"][-1] == {
+        "name": "noDiagonalState",
+        "passed": False,
+        "detail": "E: state (-1, -1) present: cross intersection fails",
+    }
+    assert run(["analyze", str(grid)]) == 0
+    data = out_json(capsys)
+    assert data["conditions"]["crossIntersection"] is True
+    assert data["class"]["kind"] == "NotCross"
 
 
 def test_survive_on_cross_automaton(cross_file, capsys):
@@ -179,6 +202,19 @@ def test_malformed_automaton_is_rejected_under_optimize(tmp_path):
     )
     assert proc.returncode == 3
     assert "outside 1..2" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_the_package_has_no_assert_statement():
+    """python -O drops assert statements, so input checks and invariants
+    raise typed exceptions instead."""
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) > 10 and found == []
 
 
 def test_malformed_automaton_json_is_rejected(tmp_path, capsys):

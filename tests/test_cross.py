@@ -55,6 +55,18 @@ def test_constructor_rejects_bad_relations():
         CrossAutomaton(3, {(1, 4)}, set(), set(), set())  # out of range
 
 
+def test_constructor_refuses_letters_that_are_not_integers():
+    # int() used to read the letter 1.9 as 1 and '3' as 3
+    for bad in ((1.9, 2), ("3", 2), (1, True)):
+        for k, name in enumerate(("PH", "PV", "Pe1", "Pe2")):
+            relations = [set(), set(), set(), set()]
+            relations[k] = {bad}
+            with pytest.raises(CrossAutomatonError, match=f"non-integer letter in {name}"):
+                CrossAutomaton(3, *relations)
+    C = CrossAutomaton(3, {(1, 2)}, set(), set(), {(3, 2)})
+    assert C.PH == {(1, 2)} and C.Pe2 == {(3, 2)}
+
+
 def test_json_round_trip():
     again = cross_from_json(CARPET_8.to_json())
     assert again == CARPET_8

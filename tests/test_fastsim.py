@@ -14,7 +14,6 @@ from carpetauto.automaton import (
 from carpetauto.carpet import CarpetSpec, parse_carpet
 from carpetauto.fastsim import (
     INF,
-    MAX_LETTER,
     PAIR_BLOCK,
     check_feasibility_matrix,
     stems_to_array,
@@ -25,26 +24,26 @@ from carpetauto.words import PeriodicWord
 from test_acceptance import feasibility_violations
 
 
-def test_letters_outside_uint8_are_rejected():
-    X = stems_to_array([(1, 2), ()], [3, MAX_LETTER], 3)
-    assert X.tolist() == [[1, 2, 3], [MAX_LETTER] * 3]
-    for stems, tails in (([(1, 256)], [3]), ([(1,)], [300]), ([()], [-1])):
-        with pytest.raises(ValueError, match="outside 0..255"):
-            stems_to_array(stems, tails, 3)
+def test_stems_to_array_refuses_letters_outside_the_alphabet():
+    X = stems_to_array([(1, 2), ()], [3, 5], 3, 5)
+    assert X.dtype == np.intp
+    assert X.tolist() == [[1, 2, 3], [5] * 3]
+    for stems, tails in (([(1, 6)], [3]), ([(1,)], [300]), ([()], [0]), ([()], [-1])):
+        with pytest.raises(ValueError, match=r"outside the alphabet 1\.\.5"):
+            stems_to_array(stems, tails, 3, 5)
 
 
 def test_stems_to_array_refuses_stems_longer_than_steps():
     for stems, steps, longest in (([(1, 2, 3, 4), (5,), ()], 2, 4), ([(1, 2, 300), (3, 4)], 2, 3),
                                   ([(1, 2)], 0, 2)):
         with pytest.raises(ValueError, match=f"a stem of {longest} letters exceeds {steps} steps"):
-            stems_to_array(stems, [3] * len(stems), steps)
-    X = stems_to_array([(1, 2), (5,), ()], [6, 7, 8], 2)
-    assert X.dtype == np.uint8
+            stems_to_array(stems, [3] * len(stems), steps, 8)
+    X = stems_to_array([(1, 2), (5,), ()], [6, 7, 8], 2, 8)
     assert X.tolist() == [[1, 2], [5, 7], [8, 8]]
     # tails of rows without padding are never read
-    X = stems_to_array([(1, 2), (3, 4)], [-1, 2**70], 2)
+    X = stems_to_array([(1, 2), (3, 4)], [-1, 2**70], 2, 8)
     assert X.tolist() == [[1, 2], [3, 4]]
-    assert stems_to_array([()], [3], 0).shape == (1, 0)
+    assert stems_to_array([()], [3], 0, 8).shape == (1, 0)
     # the first bad letter in row order is named, also beyond int64
     for stems, tails, bad in (
         ([(1, 2), (300, -4)], [3, 3], "300"),
@@ -53,7 +52,7 @@ def test_stems_to_array_refuses_stems_longer_than_steps():
         ([(1,), (2,)], [3, 2**80], str(2**80)),
     ):
         with pytest.raises(ValueError, match=f"letter {bad} outside"):
-            stems_to_array(stems, tails, 3)
+            stems_to_array(stems, tails, 3, 8)
 
 
 def test_time_matrix_refuses_letters_outside_the_alphabet():

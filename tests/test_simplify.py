@@ -137,8 +137,26 @@ def test_each_step_carries_the_class_classify_gives():
         assert len(chain.steps) == len(C.PV) > 0, C
         for step in chain.steps:
             assert step.after_class == classify(step.after), step
+            before = step.before
+            assert step.after == CrossAutomaton(before.alphabet_size, before.PH,
+                                                before.PV - {step.deleted}, before.Pe1,
+                                                before.Pe2), step
             kinds[step.after_class.kind] += 1
     assert kinds["Class2"] >= 2000 and kinds["Class0"] == len(chains), kinds
+
+
+def test_a_chain_builds_no_stage_through_the_constructor(monkeypatch):
+    """Each stage is derived from its checked input, so final_chain never
+    runs the constructor's checks again."""
+    C = carpet_cross(TOP_ISOLATED_11)
+    runs = []
+    post_init = CrossAutomaton.__post_init__
+    monkeypatch.setattr(CrossAutomaton, "__post_init__",
+                        lambda self: runs.append(self) or post_init(self))
+    chain = final_chain(C)
+    assert len(chain.steps) >= 2 and runs == []
+    CrossAutomaton(C.alphabet_size, C.PH, C.PV, C.Pe1, C.Pe2)
+    assert len(runs) == 1
 
 
 def test_chain_rejects_relations_that_are_not_matchings():

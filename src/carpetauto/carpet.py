@@ -45,9 +45,9 @@ class CarpetSpec:
         if max(self.n, self.m) > MAX_LETTER:
             raise CarpetError(f"division counts must be at most {MAX_LETTER}")
         digits = tuple((a, b) for a, b in self.digits)
-        for d in digits:  # a bool, 0.7 or '3' is no digit; sorting would compare '3' with 1
-            if not type(d[0]) is type(d[1]) is int:
-                raise CarpetError(f"digit {d!r} is not a pair of integers")
+        for a, b in digits:  # a bool, 0.7 or '3' is no digit; sorting would compare '3' with 1
+            if not type(a) is type(b) is int:
+                raise CarpetError(f"digit {(a, b)!r} is not a pair of integers")
         digits = tuple(sorted(digits, key=lambda d: (d[1], d[0])))  # bottom row first
         if not digits:
             raise CarpetError("digit set must be nonempty")

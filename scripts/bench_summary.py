@@ -9,6 +9,10 @@ metric of ``BENCHMARK.json`` that every such run holds, from the
 untraced runs, it prints:
 
 - the parent's and the change's median and quartiles;
+- whether the runs resolve the metric: not when the wider of the two
+  sides' interquartile ranges, as a fraction of the parent's median,
+  exceeds the metric's regression bound, unless every change run is
+  better than every parent run;
 - in how many seed-paired runs the change was better (runs of one
   workload with the same seed pair up in the order they are listed);
 - whether the gap between the medians exceeds the parent's interquartile
@@ -63,8 +67,14 @@ def summarize(runs, metrics):
             def value(run):
                 return run["result"]["metrics"][name]["value"]
 
-            q = {side: quartiles([value(r) for r in by_side[side]]) for side in SIDES}
+            values = {side: [value(r) for r in by_side[side]] for side in SIDES}
+            q = {side: quartiles(values[side]) for side in SIDES}
             parent, change = q["parent"][1], q["change"][1]
+            spread = max(q[side][2] - q[side][0] for side in SIDES)
+            if lower:
+                apart = max(values["change"]) < min(values["parent"])
+            else:
+                apart = min(values["change"]) > max(values["parent"])
             gain = parent - change if lower else change - parent
             wins = sum(1 for p, c in pairs if (value(c) < value(p) if lower else value(c) > value(p)))
             limit = parent * (1 + metric["bound"] if lower else 1 - metric["bound"])
@@ -73,6 +83,7 @@ def summarize(runs, metrics):
                 "metric": name,
                 "parent": q["parent"],
                 "change": q["change"],
+                "resolved": apart or spread <= metric["bound"] * abs(parent),
                 "delta": (change - parent) / parent if parent else 0.0,
                 "wins": wins,
                 "pairs": len(pairs),
@@ -96,9 +107,10 @@ def format_rows(rows) -> str:
         return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
     header = ("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]",
-              "delta", "wins", "gap > parent IQR", "within bound")
+              "resolved", "delta", "wins", "gap > parent IQR", "within bound")
     table = [header] + [(
-        r["workload"], r["metric"], q(r["parent"]), q(r["change"]), f"{r['delta']:+.1%}",
+        r["workload"], r["metric"], q(r["parent"]), q(r["change"]),
+        "yes" if r["resolved"] else "no", f"{r['delta']:+.1%}",
         f"{r['wins']}/{r['pairs']}", "yes" if r["gap_exceeds_iqr"] else "no",
         "yes" if r["within_bound"] else "NO",
     ) for r in rows]

@@ -365,7 +365,7 @@ def random_word(rng, N: int) -> PeriodicWord:
     return PeriodicWord(pre, per)
 
 
-def _state_tables(M: SigmaAutomaton):
+def state_tables(M: SigmaAutomaton):
     """Every state's name, keyed in `order_key` order, and its rank in
     that order: built once per automaton, not once per transition."""
     states = sorted(M.states, key=order_key)
@@ -379,7 +379,7 @@ def _ordered_delta(M: SigmaAutomaton, rank: dict):
 
 def to_dot(M: SigmaAutomaton) -> str:
     """Graphviz rendering without Exit, in deterministic node and edge order."""
-    name, rank = _state_tables(M)
+    name, rank = state_tables(M)
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
     for s, label in name.items():
         if s == EXIT:
@@ -398,7 +398,7 @@ def to_dot(M: SigmaAutomaton) -> str:
 
 
 def to_json(M: SigmaAutomaton) -> str:
-    name, rank = _state_tables(M)
+    name, rank = state_tables(M)
     delta = {f"{name[s]}|{i},{j}": name[t] for (s, i, j), t in _ordered_delta(M, rank)}
     return json.dumps({"N": M.alphabet_size, "states": list(name.values()), "delta": delta})
 

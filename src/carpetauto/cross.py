@@ -3,7 +3,9 @@
 A cross automaton is a symmetric pair-alphabet automaton whose offset
 states are only the four axis vectors.  It is fully determined by the
 relations PH (enter e1), PV (enter e2), Pe1 (loop at e1) and Pe2 (loop
-at e2); the mirrored halves follow by transposition.
+at e2); the mirrored halves follow by transposition.  `RELATION_MOVES`
+is the one statement of those moves: `CrossAutomaton.transition_table`
+writes from it and `from_topology_automaton` reads through it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from .automaton import (
 E1 = (1, 0)
 E2 = (0, 1)
 AXIS_STATES = (E1, (-1, 0), E2, (0, -1))
-RELATION_NAMES = ("PH", "PV", "Pe1", "Pe2")
+# relation -> (s, t, s', t'): a pair (i, j) of the relation moves s to t,
+# and its mirror (j, i) moves s' = -s to t' = -t.
+RELATION_MOVES = {
+    "PH": (ID, E1, ID, (-1, 0)),
+    "PV": (ID, E2, ID, (0, -1)),
+    "Pe1": (E1, E1, (-1, 0), (-1, 0)),
+    "Pe2": (E2, E2, (0, -1), (0, -1)),
+}
 
 
 class CrossAutomatonError(ValueError):
@@ -51,14 +60,14 @@ class CrossAutomaton:
     Pe2: frozenset
 
     def __post_init__(self):
-        for name in RELATION_NAMES:  # a frozenset argument is kept, not copied
+        for name in RELATION_MOVES:  # a frozenset argument is kept, not copied
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         N = self.alphabet_size
         if N < 1:
             raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
-        for name in RELATION_NAMES:
+        for name in RELATION_MOVES:
             for i, j in getattr(self, name):
                 if not type(i) is type(j) is int:  # a bool, 1.9 or '3' is no letter
                     raise CrossAutomatonError(f"non-integer letter in {name}: {(i, j)!r}")
@@ -79,8 +88,8 @@ class CrossAutomaton:
         return {"H": self.PH, "V": self.PV, "e1": self.Pe1, "e2": self.Pe2}
 
     def transition_table(self) -> dict:
-        """(state, i, j) -> state over the states {Id, ±e1, ±e2}, read from
-        the four relations and their transposes; a missing entry is Exit.
+        """(state, i, j) -> state over the states {Id, ±e1, ±e2}, written
+        from `RELATION_MOVES`; a missing entry is Exit.
 
         The table is the one `induced_automaton` wraps and the one
         `decide_triple_coding_free` searches.  The constructor's checks
@@ -89,18 +98,10 @@ class CrossAutomaton:
         transpose of another.
         """
         delta = {(ID, i, i): ID for i in range(1, self.alphabet_size + 1)}
-        for i, j in self.PH:
-            delta[(ID, i, j)] = E1
-            delta[(ID, j, i)] = (-1, 0)
-        for i, j in self.PV:
-            delta[(ID, i, j)] = E2
-            delta[(ID, j, i)] = (0, -1)
-        for i, j in self.Pe1:
-            delta[(E1, i, j)] = E1
-            delta[((-1, 0), j, i)] = (-1, 0)
-        for i, j in self.Pe2:
-            delta[(E2, i, j)] = E2
-            delta[((0, -1), j, i)] = (0, -1)
+        for name, (s, t, ms, mt) in RELATION_MOVES.items():
+            for i, j in getattr(self, name):
+                delta[(s, i, j)] = t
+                delta[(ms, j, i)] = mt
         return delta
 
     def induced_automaton(self) -> SigmaAutomaton:
@@ -135,7 +136,7 @@ def cross_from_dict(data: dict) -> CrossAutomaton:
 
     N = field("N", json_int)
     relations = [field(name, _json_pairs) if name in data else frozenset()
-                 for name in RELATION_NAMES]
+                 for name in RELATION_MOVES]
     return CrossAutomaton(N, *relations)
 
 
@@ -144,18 +145,12 @@ def from_topology_automaton(M: SigmaAutomaton) -> CrossAutomaton:
     diagonal = [s for s in M.states if s not in (ID, EXIT) and s not in AXIS_STATES]
     if diagonal:  # named in state order: the set's own order varies with string hashing
         s = min(diagonal, key=order_key)
-        raise DiagonalStatePresent(f"state {s} present: cross intersection fails")
-    rels = {"PH": set(), "PV": set(), "Pe1": set(), "Pe2": set()}
+        raise DiagonalStatePresent(f"state {s} present: diagonal offset state reachable")
+    rels = {move[:2]: set() for move in RELATION_MOVES.values()}  # (s, t) -> its relation
     for (s, i, j), t in M.delta.items():
-        if s == ID and t == E1:
-            rels["PH"].add((i, j))
-        elif s == ID and t == E2:
-            rels["PV"].add((i, j))
-        elif s == E1 and t == E1:
-            rels["Pe1"].add((i, j))
-        elif s == E2 and t == E2:
-            rels["Pe2"].add((i, j))
-    return CrossAutomaton(M.alphabet_size, *(frozenset(rels[k]) for k in RELATION_NAMES))
+        if (s, t) in rels:
+            rels[(s, t)].add((i, j))
+    return CrossAutomaton(M.alphabet_size, *rels.values())
 
 
 def check_uniqueness(C: CrossAutomaton):

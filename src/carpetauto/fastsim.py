@@ -18,22 +18,17 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .automaton import EXIT, ID, SigmaAutomaton, order_key
+from .automaton import EXIT, ID, SigmaAutomaton, state_tables
 
 INF = np.int64(10**9)
 
 
-def _state_index(M: SigmaAutomaton):
-    states = sorted(M.states, key=order_key)
-    return states, {s: k for k, s in enumerate(states)}
-
-
 def transition_table(M: SigmaAutomaton):
-    """delta as an array tab[state, i, j] of state indices; Exit absorbs."""
-    states, index = _state_index(M)
+    """delta as an array tab[state, i, j] of `state_tables` ranks; Exit absorbs."""
+    _, index = state_tables(M)
     N = M.alphabet_size
     exit_idx = index[EXIT]
-    tab = np.full((len(states), N + 1, N + 1), exit_idx, dtype=np.uint8)
+    tab = np.full((len(index), N + 1, N + 1), exit_idx, dtype=np.uint8)
     for (s, i, j), t in M.delta.items():
         tab[index[s], i, j] = index[t]
     tab[exit_idx, :, :] = exit_idx
@@ -43,10 +38,15 @@ def transition_table(M: SigmaAutomaton):
 def stems_to_array(stems, tails, steps: int, N: int):
     """Letter matrix of intp, one row per word, padded with its tail letter.
 
-    Every letter must lie in 1..N; any other raises ValueError, which
+    Every letter, tails included, must be an int, not a bool, float or
+    string, which the intp read would truncate or convert; and every
+    letter read must lie in 1..N.  Any other raises ValueError, which
     names the first one in row order, also beyond int64.  A stem longer
     than `steps` raises ValueError.
     """
+    if not {*map(type, chain.from_iterable(stems)), *map(type, tails)} <= {int}:
+        bad = next(a for s, c in zip(stems, tails) for a in (*s, c) if type(a) is not int)
+        raise ValueError(f"non-integer letter {bad!r}")
     lengths = np.fromiter(map(len, stems), np.intp, len(stems))
     if lengths.max(initial=0) > steps:
         raise ValueError(f"a stem of {lengths.max()} letters exceeds {steps} steps")
@@ -83,8 +83,8 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     |states| steps, so simulating max stem length + |states| + 1 steps
     decides every pair; survivors at the horizon are infinite (INF).
 
-    Every letter must lie in 1..N; any other raises ValueError, which
-    names the first one in row order.
+    Every letter must be an int in 1..N; any other raises ValueError,
+    which names the first one in row order.
 
     T starts as a zero-filled flat array of W*W entries, and pairs are
     simulated in bands of whole rows.  Every pair starts at Id, so step 1

@@ -108,8 +108,8 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
     return IntersectionOracle(spec.n, spec.m, spec.digits, frozenset(alive))
 
 
-def chain_survivors(spec, depth: int = 9) -> frozenset:
-    """Independent brute force: b survives iff a length-`depth` chain of
+def chain_survivors(spec) -> frozenset:
+    """Independent brute force: b survives iff a length-9 chain of
     digit-pair steps stays inside the box.  With at most nine offsets, a
     length-9 chain necessarily revisits a node, so depth 9 is exact.
 
@@ -117,7 +117,7 @@ def chain_survivors(spec, depth: int = 9) -> frozenset:
     """
     succ = {b: offset_successors(spec, b) for b in OFFSETS}
     alive = set(OFFSETS)
-    for _ in range(depth):
+    for _ in range(len(OFFSETS)):
         alive = {b for b in OFFSETS if succ[b] & alive}
     return frozenset(alive)
 
@@ -237,32 +237,20 @@ def render_svg(spec: "CarpetSpec", depth: int, size: int = 512) -> str:
     return "\n".join(lines)
 
 
-def _edge_coords(spec, side: str, depth: int):
+def _edge_coords(spec, axis: int, far: bool, depth: int):
     """Cross-axis coordinates of depth-k cells on one boundary edge.
 
-    For side "left"/"right" returns the occupied j-values of cells in the
-    leftmost/rightmost column; for "bottom"/"top" the occupied i-values of
-    cells in the bottom/top row.  Computed by the obvious recursion, so it
-    is independent of the fixed-point oracle.
+    For axis 0 returns the occupied j-values of cells in the leftmost
+    column, or the rightmost when `far`; for axis 1 the occupied i-values
+    of cells in the bottom row, or the top row when `far`.  Computed by
+    the obvious recursion, so it is independent of the fixed-point oracle.
     """
     import numpy as np
 
-    if side == "left":
-        sel = [d2 for d1, d2 in spec.digits if d1 == 0]
-        base = spec.m
-    elif side == "right":
-        sel = [d2 for d1, d2 in spec.digits if d1 == spec.n - 1]
-        base = spec.m
-    elif side == "bottom":
-        sel = [d1 for d1, d2 in spec.digits if d2 == 0]
-        base = spec.n
-    elif side == "top":
-        sel = [d1 for d1, d2 in spec.digits if d2 == spec.m - 1]
-        base = spec.n
-    else:
-        raise ValueError(side)
+    size, base = (spec.n, spec.m) if axis == 0 else (spec.m, spec.n)
+    end = size - 1 if far else 0
     coords = np.array([0], dtype=np.int64)
-    digits = np.array(sorted(sel), dtype=np.int64)
+    digits = np.array(sorted(d[1 - axis] for d in spec.digits if d[axis] == end), dtype=np.int64)
     for _ in range(depth):
         if digits.size == 0:
             return np.array([], dtype=np.int64)
@@ -271,12 +259,12 @@ def _edge_coords(spec, side: str, depth: int):
     return coords
 
 
-def _edge_gap(spec, a_side: str, b_side: str, depth: int) -> int:
-    """Minimal cell-coordinate distance between two boundary edge sets."""
+def _edge_gap(spec, axis: int, depth: int) -> int:
+    """Minimal cell-coordinate distance between one axis's far and near edges."""
     import numpy as np
 
-    a = _edge_coords(spec, a_side, depth)
-    b = _edge_coords(spec, b_side, depth)
+    a = _edge_coords(spec, axis, True, depth)
+    b = _edge_coords(spec, axis, False, depth)
     if a.size == 0 or b.size == 0:
         return -1
     idx = np.searchsorted(b, a)
@@ -294,7 +282,10 @@ def raster_gap(spec, b, depth: int = 9) -> int:
     Returns the minimal coordinate distance between facing boundary cells
     (<= 1 means the closed rasterizations touch), or -1 when one side of
     the boundary carries no cells at all (definite disjointness).
-    Only meaningful for nonzero offsets.
+    Only meaningful for nonzero offsets.  The gap of -b equals the gap of
+    b: for an axis offset both face K's far edge on that axis with its
+    near edge, and the least distance between two sets does not depend
+    on their order.
     """
     bx, by = b
     if (bx, by) == (0, 0):
@@ -305,13 +296,7 @@ def raster_gap(spec, b, depth: int = 9) -> int:
         if corner_k in spec.digits and corner_t in spec.digits:
             return 1
         return -1
-    if bx == 1:
-        return _edge_gap(spec, "right", "left", depth)
-    if bx == -1:
-        return _edge_gap(spec, "left", "right", depth)
-    if by == 1:
-        return _edge_gap(spec, "top", "bottom", depth)
-    return _edge_gap(spec, "bottom", "top", depth)
+    return _edge_gap(spec, 0 if bx else 1, depth)
 
 
 def raster_overlap(spec, b, depth: int = 9) -> bool:

@@ -37,7 +37,11 @@ class PeriodicWord:
         if not self.period:
             raise ValueError("period must be nonempty")
         pre = tuple(self.preperiod)
-        per = _primitive_root(tuple(self.period))
+        per = tuple(self.period)
+        for a in pre + per:
+            if type(a) is not int:  # a bool, 1.5 or '3' is no letter
+                raise ValueError(f"non-integer letter {a!r} in a word")
+        per = _primitive_root(per)
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]

@@ -253,7 +253,7 @@ def test_criterion_03_oracle_agreement():
     for _ in range(100):
         spec = random_carpet(rng, max_div=4, max_digits=16)
         oracle = build_oracle(spec)
-        if oracle.survivors != chain_survivors(spec, depth=9):
+        if oracle.survivors != chain_survivors(spec):
             mismatches += 1
             continue
         for b in OFFSETS:

@@ -61,6 +61,28 @@ def test_summary_of_a_synthetic_record():
     assert bench_summary.failures(synthetic_runs()) == {"parent": (6, 0), "change": (5, 1)}
 
 
+def test_resolved_reads_the_wider_spread_unless_the_sides_separate():
+    runs = [
+        # the parent's p50 spreads by 0.5 / 1.5, beyond the 24 % bound, but
+        # every change run is faster than every parent run
+        run("parent", "simplify", 1, 1.0, 100), run("change", "simplify", 1, 0.5, 100),
+        run("parent", "simplify", 2, 1.5, 100), run("change", "simplify", 2, 0.6, 101),
+        run("parent", "simplify", 3, 2.0, 100), run("change", "simplify", 3, 0.9, 99),
+        # the change's p50 spreads by 0.3 / 1.0, and its runs overlap the parent's
+        run("parent", "survey", 1, 1.0, 100), run("change", "survey", 1, 0.8, 150),
+        run("parent", "survey", 2, 1.0, 100), run("change", "survey", 2, 1.0, 200),
+        run("parent", "survey", 3, 1.0, 100), run("change", "survey", 3, 1.4, 300),
+    ]
+    rows = {(r["workload"], r["metric"]): r for r in bench_summary.summarize(runs, METRICS)}
+    assert rows[("simplify", "latency_p50_s")]["resolved"]
+    assert rows[("simplify", "requests_per_s")]["resolved"]  # a spread of 1 / 100
+    assert not rows[("survey", "latency_p50_s")]["resolved"]
+    # every change run is faster than every parent run, however wide the spread
+    assert rows[("survey", "requests_per_s")]["resolved"]
+    assert [r["resolved"] for r in bench_summary.summarize(synthetic_runs(), METRICS)] == [
+        False, False, True, True]
+
+
 def test_script_prints_one_line_per_workload_and_metric(tmp_path, capsys):
     record = tmp_path / "BENCH_synthetic.json"
     record.write_text(json.dumps({"label": "synthetic", "runs": synthetic_runs()}))

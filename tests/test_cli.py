@@ -104,7 +104,7 @@ def test_equiv_is_inconclusive_when_an_automaton_reaches_a_diagonal_state(tmp_pa
     assert data["hypotheses"][-1] == {
         "name": "noDiagonalState",
         "passed": False,
-        "detail": "E: state (-1, -1) present: cross intersection fails",
+        "detail": "E: state (-1, -1) present: diagonal offset state reachable",
     }
     assert run(["analyze", str(grid)]) == 0
     data = out_json(capsys)

@@ -118,8 +118,9 @@ def reference_table(C):
 
 def test_transition_table_is_the_definition_and_a_valid_sigma_table():
     """The table the triple search reads, on random cross automata whose
-    relations need not be matchings: it is the definition's table, and
-    the SigmaAutomaton constructor accepts it unchanged."""
+    relations need not be matchings: it is the definition's table, the
+    SigmaAutomaton constructor accepts it unchanged, and extraction reads
+    the same relations back from it."""
     rng = random.Random(20261020)
     checked = matchings = 0
     while checked < 2000:
@@ -136,6 +137,7 @@ def test_transition_table_is_the_definition_and_a_valid_sigma_table():
         assert table == reference_table(C), C
         assert C.induced_automaton().delta == table, C
         assert mirror_check(C.induced_automaton()), C
+        assert from_topology_automaton(C.induced_automaton()) == C, C
     assert 200 <= matchings <= 1800, matchings
 
 

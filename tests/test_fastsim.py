@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_time_matrix_refuses_letters_outside_the_alphabet():
         with pytest.raises(ValueError, match=f"letter {bad} outside the alphabet 1..5"):
             time_matrix(M, stems, tails)
     assert time_matrix(M, [(1,), (5,)], [2, 3])[1, 1] == INF
+
+
+def test_letters_that_are_not_integers_are_refused():
+    # On #.#/.#./#.# the intp read turned 1.5 into 1, and the time matrix
+    # of 1.5.2^inf and 1.2^inf read INF for every pair.  Tails are words'
+    # letters too, so they are refused even where no step reads them.
+    M = build_topology_automaton(parse_carpet("#.#\n.#.\n#.#"))
+    with pytest.raises(ValueError, match=r"non-integer letter 1\.5"):
+        time_matrix(M, [(1.5,), (1,)], [2, 2])
+    for stems, tails, bad in (([(1, 2), (True,)], [3, 3], True), ([(1,), (2,)], ["3", 2.5], "3"),
+                              ([(1, 2)], [np.int64(3)], np.int64(3)), ([(1, 2), (3, 4)], [1, 2.0], 2.0)):
+        with pytest.raises(ValueError, match=f"non-integer letter {re.escape(repr(bad))}$"):
+            stems_to_array(stems, tails, 2, 5)
 
 
 def scalar_times(M, stems, tails):

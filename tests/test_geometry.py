@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from carpetauto.automaton import random_word
@@ -12,6 +13,7 @@ from carpetauto.geometry import (
     chain_survivors,
     cylinder_rects,
     project,
+    raster_gap,
     raster_overlap,
     render_svg,
 )
@@ -79,6 +81,64 @@ def test_oracle_matches_chain_enumeration_up_to_8x8():
         assert survivors == chain_survivors(spec), spec
         sizes.add(len(survivors))
     assert sizes == {1, 3, 5, 7, 9}  # every odd survivor count occurs
+
+
+def raster_cells(spec, depth):
+    """Every depth-k cell (x, y) of the n^k by m^k grid, one per word of k digits."""
+    cells = [(0, 0)]
+    for _ in range(depth):
+        cells = [(spec.n * x + d1, spec.m * y + d2) for x, y in cells for d1, d2 in spec.digits]
+    return cells
+
+
+def brute_raster_gaps(spec, depth):
+    """raster_gap of every nonzero offset b, from the explicit cells of K.
+
+    A cell c lies in K + b when c - shift lies in K, with shift = (b_x n^k,
+    b_y m^k).  For an axis offset the gap is the least distance along the
+    other axis between a cell of K and a cell of K + b in adjacent columns
+    (b = ±e1) or rows (b = ±e2); for a diagonal one it is 1 when a cell of
+    K and a cell of K + b meet at a corner.  Either is -1 when no such
+    pair of cells exists.
+    """
+    cells = raster_cells(spec, depth)
+    lines = [{}, {}]  # lines[axis][v]: the other coordinates of K's cells with c[axis] == v
+    for c in cells:
+        for axis in (0, 1):
+            lines[axis].setdefault(c[axis], []).append(c[1 - axis])
+    # (x, y) -> x R + y, one integer that tells apart any two cells whose
+    # y differ by less than R
+    R = 4 * spec.m**depth
+    keys = np.array([x * R + y for x, y in cells])
+    gaps = {}
+    for b in OFFSETS:
+        sx, sy = b[0] * spec.n**depth, b[1] * spec.m**depth
+        if b[0] and b[1]:
+            meet = any(np.isin(keys + ((dx - sx) * R + dy - sy), keys).any()
+                       for dx in (-1, 1) for dy in (-1, 1))
+            gaps[b] = 1 if meet else -1
+        elif b != (0, 0):
+            axis, s = (0, sx) if b[0] else (1, sy)
+            facing = [(mine, lines[axis][v + step - s]) for v, mine in lines[axis].items()
+                      for step in (-1, 1) if v + step - s in lines[axis]]
+            gaps[b] = min((abs(u - w) for mine, other in facing for u in mine for w in other),
+                          default=-1)
+    return gaps
+
+
+def test_raster_gap_matches_the_explicit_rasterization():
+    rng = random.Random(9)
+    values = set()
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        m = rng.randint(2, 4)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        for depth in (1, 2, 3, 4):
+            for b, gap in brute_raster_gaps(spec, depth).items():
+                assert raster_gap(spec, b, depth) == gap, (spec, b, depth)
+                values.add(gap)
+    assert {-1, 0, 1, 2} <= values
 
 
 def test_chain_survivors_leaves_no_garbage():

@@ -171,7 +171,7 @@ EXPECTED = {
     "gmap 1,2,3,4 4.1.1.1.5.3.2.3.1(3)": "46cdb5cae4ab654103f2b57dbd766ca4b77102695590b4e1dcfc2eb794bc9f13",
     "gmap 1,2,3,4 5.2.4(3)": "652b919da65a4bd75979c522baf7bfdfa8d695e742a71c0bbddc3fe0f0db9267",
     "gmap bad-context": "0682839c04c4c7649db30f20637a70aff4ec176458439ffda6ac6f85aaa7cf1e",
-    "simplify BARANSKI_RATIO": "5d1214894a6f4aa15b2325f17c9cf959cbbf79fc22cc33c89eebd61ba815478b",
+    "simplify BARANSKI_RATIO": "592b39bb49ac4dc149339f103487dd741083d8b45be7465b3747fde79f9ee520",
     "simplify CARPET_8": "838f5373c3b4ff8f609e8ef7566b26001d57144932905a76ec28d17038aafadd",
     "simplify CHAIN2_CARPET": "fb1420d4bfda789fe8aa4e268572e19aa56b94566a9a1c1ca3ad9a882cf8fa92",
     "simplify DISTORTION_0": "ccbb078ebb9665b28e78d69ec8b960a11755ef3ec57227b55d1a86662d7c0526",

@@ -31,6 +31,16 @@ def test_letters_are_one_indexed():
         w.letter(0)
 
 
+def test_constructor_refuses_letters_that_are_not_integers():
+    # (1.5,)(2) used to print as 1.5(2), and surviving_time read 1.5 as no
+    # letter of the automaton, so Exit
+    for pre, per, bad in (((1.5,), (2,), "1.5"), ((), (2, "3"), "'3'"), ((True,), (2,), "True"),
+                          ((1,), (2.0,), "2.0")):
+        with pytest.raises(ValueError, match=f"non-integer letter {bad} in a word"):
+            PeriodicWord(pre, per)
+    assert str(PeriodicWord((1,), (2, 3))) == "1(2.3)"
+
+
 def test_constant_word():
     w = PeriodicWord.constant(3)
     assert w.letter(1) == w.letter(100) == 3

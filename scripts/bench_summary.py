@@ -83,7 +83,7 @@ def summarize(runs, metrics):
                 "metric": name,
                 "parent": q["parent"],
                 "change": q["change"],
-                "resolved": apart or spread <= metric["bound"] * abs(parent),
+                "resolved": apart or spread <= metric["bound"] * parent,
                 "delta": (change - parent) / parent if parent else 0.0,
                 "wins": wins,
                 "pairs": len(pairs),

@@ -359,9 +359,13 @@ def decide_feasibility(M: SigmaAutomaton, t0: int):
 
 
 def random_word(rng, N: int) -> PeriodicWord:
-    """A word over 1..N with a preperiod of 0-3 and a period of 1-3 letters."""
-    pre = tuple(rng.randint(1, N) for _ in range(rng.randint(0, 3)))
-    per = tuple(rng.randint(1, N) for _ in range(rng.randint(1, 3)))
+    """A word over 1..N with a preperiod of 0-3 and a period of 1-3 letters.
+
+    randrange(k) + a draws what randint(a, a + k - 1) draws and leaves
+    `rng` in the same state, without randint's argument handling.
+    """
+    pre = tuple([rng.randrange(N) + 1 for _ in range(rng.randrange(4))])
+    per = tuple([rng.randrange(N) + 1 for _ in range(rng.randrange(3) + 1)])
     return PeriodicWord(pre, per)
 
 

@@ -42,8 +42,11 @@ def stems_to_array(stems, tails, steps: int, N: int):
     string, which the intp read would truncate or convert; and every
     letter read must lie in 1..N.  Any other raises ValueError, which
     names the first one in row order, also beyond int64.  A stem longer
-    than `steps` raises ValueError.
+    than `steps`, or a count of tails unlike the count of stems, raises
+    ValueError.
     """
+    if len(tails) != len(stems):
+        raise ValueError(f"{len(tails)} tails for {len(stems)} stems")
     if not {*map(type, chain.from_iterable(stems)), *map(type, tails)} <= {int}:
         bad = next(a for s, c in zip(stems, tails) for a in (*s, c) if type(a) is not int)
         raise ValueError(f"non-integer letter {bad!r}")
@@ -84,7 +87,8 @@ def time_matrix(M: SigmaAutomaton, stems, tails):
     decides every pair; survivors at the horizon are infinite (INF).
 
     Every letter must be an int in 1..N; any other raises ValueError,
-    which names the first one in row order.
+    which names the first one in row order.  So does a count of tails
+    unlike the count of stems.
 
     T starts as a zero-filled flat array of W*W entries, and pairs are
     simulated in bands of whole rows.  Every pair starts at Id, so step 1
@@ -149,8 +153,10 @@ def check_feasibility_matrix(T: np.ndarray, t0: int = 1) -> int:
     right-hand side T[y,z] + t0 equals v.  Counts are at most W, so the
     float64 product is exact.  Levels are taken in increasing order and
     the first v that no entry of T exceeds ends the count: no later level
-    can have an apex.  Nothing exceeds INF, so infinite right-hand sides
-    never produce violations.  Memory is O(W^2).
+    can have an apex.  Nothing exceeds INF, so when t0 >= 0 infinite
+    right-hand sides never produce violations; when t0 < 0 the level
+    INF + t0 counts the apexes x with T[x,y] = T[x,z] = INF like any
+    other.  Memory is O(W^2).
     """
     rhs = T + np.int64(t0)
     bad = 0

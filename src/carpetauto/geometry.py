@@ -19,6 +19,14 @@ point.  The topology automaton reads its transitions from the same
 index.  `offset_successors` and `chain_survivors` keep the direct loop
 over digit pairs as an independent reference.
 
+`raster_gap` is the other independent check: the cell gap between the
+depth-k rasterizations of K and K + b, read from the grid's edge digits
+alone.  For an axis offset it follows a far-edge minus near-edge cell
+coordinate digit by digit, D_t = base*D_(t-1) + (a_t - b_t), and keeps
+per level only the least positive value, 0 and the greatest negative
+value, which `_edge_gap` shows to be exact.  A depth-k check thus takes
+depth*|far|*|near| steps, not one per edge cell.
+
 `project` maps a word to the corner of its depth-k cylinder.  The value
 is exact: it is computed in integers scaled by the lcm D of each axis's
 ratio denominators, and returned as one Fraction per coordinate.
@@ -237,43 +245,46 @@ def render_svg(spec: "CarpetSpec", depth: int, size: int = 512) -> str:
     return "\n".join(lines)
 
 
-def _edge_coords(spec, axis: int, far: bool, depth: int):
-    """Cross-axis coordinates of depth-k cells on one boundary edge.
-
-    For axis 0 returns the occupied j-values of cells in the leftmost
-    column, or the rightmost when `far`; for axis 1 the occupied i-values
-    of cells in the bottom row, or the top row when `far`.  Computed by
-    the obvious recursion, so it is independent of the fixed-point oracle.
-    """
-    import numpy as np
-
-    size, base = (spec.n, spec.m) if axis == 0 else (spec.m, spec.n)
-    end = size - 1 if far else 0
-    coords = np.array([0], dtype=np.int64)
-    digits = np.array(sorted(d[1 - axis] for d in spec.digits if d[axis] == end), dtype=np.int64)
-    for _ in range(depth):
-        if digits.size == 0:
-            return np.array([], dtype=np.int64)
-        # already sorted and unique: coords are, and the digits are sorted and < base
-        coords = (base * coords[:, None] + digits[None, :]).ravel()
-    return coords
-
-
 def _edge_gap(spec, axis: int, depth: int) -> int:
-    """Minimal cell-coordinate distance between one axis's far and near edges."""
-    import numpy as np
+    """Least cell-coordinate distance between one axis's far and near edges.
 
-    a = _edge_coords(spec, axis, True, depth)
-    b = _edge_coords(spec, axis, False, depth)
-    if a.size == 0 or b.size == 0:
+    The far edge of axis 0 is K's rightmost column, read through the
+    digits with d1 = n - 1, and the near edge its leftmost, d1 = 0; for
+    axis 1 they are the top and bottom rows.  A depth-k cell on an edge
+    has the cross-axis coordinate sum_t c_t base^(k-t), over that edge's
+    digits c_t, with base m for axis 0 and n for axis 1.  So a far cell
+    minus a near cell is D_k, where D_0 = 0 and
+    D_t = base*D_(t-1) + (a_t - b_t) for a far digit a_t and a near
+    digit b_t, chosen independently at each level.
+
+    Each |a_t - b_t| is below base, so r more levels move D_k by at most
+    base^r - 1 from base^r*D_t.  A positive D_t therefore only leads to
+    positive D_k, and with the same later digits a smaller positive D_t
+    gives a smaller one; likewise for negative values, and 0 leads to the
+    later digits' own sum.  The least |D_k| reachable from a level's values
+    is thus reachable from three of them: the least positive, 0 (when
+    reached) and the greatest negative.  Keeping only those costs
+    depth*|far|*|near| steps, not the |far|^depth and |near|^depth edge
+    cells.  Returns -1 when either edge is empty.
+
+    Only the grid's edge digits are read, never the oracle's successors or
+    survivors, so the raster check stays independent of the fixed point.
+    """
+    size, base = (spec.n, spec.m) if axis == 0 else (spec.m, spec.n)
+    far = {d[1 - axis] for d in spec.digits if d[axis] == size - 1}
+    near = {d[1 - axis] for d in spec.digits if d[axis] == 0}
+    if not far or not near:
         return -1
-    idx = np.searchsorted(b, a)
-    best = None
-    for shift in (-1, 0):
-        k = np.clip(idx + shift, 0, b.size - 1)
-        d = np.abs(a - b[k]).min()
-        best = d if best is None else min(best, d)
-    return int(best)
+    steps = {a - b for a in far for b in near}
+    kept = {0}
+    for _ in range(depth):
+        reach = {base * x + s for x in kept for s in steps}
+        kept = {
+            min(side, key=abs)
+            for side in ({v for v in reach if v < 0}, reach & {0}, {v for v in reach if v > 0})
+            if side
+        }
+    return min(map(abs, kept))
 
 
 def raster_gap(spec, b, depth: int = 9) -> int:
@@ -282,11 +293,16 @@ def raster_gap(spec, b, depth: int = 9) -> int:
     Returns the minimal coordinate distance between facing boundary cells
     (<= 1 means the closed rasterizations touch), or -1 when one side of
     the boundary carries no cells at all (definite disjointness).
-    Only meaningful for nonzero offsets.  The gap of -b equals the gap of
-    b: for an axis offset both face K's far edge on that axis with its
-    near edge, and the least distance between two sets does not depend
-    on their order.
+    Only meaningful for nonzero offsets; (0, 0) gives 0.  The gap of -b
+    equals the gap of b: for an axis offset both face K's far edge on that
+    axis with its near edge, and the least distance between two sets does
+    not depend on their order.  A depth below 1, or an offset outside the
+    nine unit offsets, raises ValueError.
     """
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    if tuple(b) not in OFFSETS:
+        raise ValueError(f"offset {tuple(b)} is not one of the nine unit offsets")
     bx, by = b
     if (bx, by) == (0, 0):
         return 0

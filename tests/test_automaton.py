@@ -106,6 +106,23 @@ def brute_force_time(M, x, y, horizon=1000):
     return INFINITE
 
 
+def test_random_word_draws_the_stream_of_randint():
+    """The words and the generator's state after them are those of the
+    randint draws that random_word made before, so every seeded pool that
+    tests and the benchmark build stays the same."""
+
+    def randint_word(rng, N):
+        pre = tuple(rng.randint(1, N) for _ in range(rng.randint(0, 3)))
+        per = tuple(rng.randint(1, N) for _ in range(rng.randint(1, 3)))
+        return PeriodicWord(pre, per)
+
+    new, old = random.Random(23), random.Random(23)
+    for k in range(10_000):
+        N = k % 9 + 1
+        assert random_word(new, N) == randint_word(old, N), k
+    assert new.random() == old.random()
+
+
 def test_surviving_time_matches_brute_force():
     M = build_topology_automaton(SQUARE_TOP_5)
     rng = random.Random(11)

@@ -81,6 +81,18 @@ def test_letters_that_are_not_integers_are_refused():
             stems_to_array(stems, tails, 2, 5)
 
 
+def test_a_count_of_tails_unlike_the_count_of_stems_is_refused():
+    # On #.#/.#./#.# one tail too many was dropped without a word, and
+    # one too few ended in numpy's broadcast error.
+    M = build_topology_automaton(parse_carpet("#.#\n.#.\n#.#"))
+    for stems, tails in (([(1,), (2,)], [2]), ([(1,)], [2, 3]), ([], [1])):
+        message = f"{len(tails)} tails for {len(stems)} stems"
+        with pytest.raises(ValueError, match=message):
+            time_matrix(M, stems, tails)
+        with pytest.raises(ValueError, match=message):
+            stems_to_array(stems, tails, 3, 5)
+
+
 def scalar_times(M, stems, tails):
     """surviving_time of every pair of words stem tail^inf, INFINITE kept."""
     words = [PeriodicWord.from_stem(s, c) for s, c in zip(stems, tails)]

@@ -68,8 +68,8 @@ def test_oracle_matches_chain_enumeration_and_rasterization():
 
 
 def test_oracle_matches_chain_enumeration_up_to_8x8():
-    # a depth-9 raster of an 8x8 carpet is too large, so only the chain
-    # enumeration, which loops over digit pairs directly, is compared
+    # both independent checks: the chain enumeration, which loops over
+    # digit pairs directly, and the depth-9 raster of the edge digits
     rng = random.Random(8)
     sizes = set()
     for _ in range(300):
@@ -79,6 +79,9 @@ def test_oracle_matches_chain_enumeration_up_to_8x8():
         spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
         survivors = build_oracle(spec).survivors
         assert survivors == chain_survivors(spec), spec
+        for b in OFFSETS:
+            if b != (0, 0):
+                assert (b in survivors) == raster_overlap(spec, b), (spec, b)
         sizes.add(len(survivors))
     assert sizes == {1, 3, 5, 7, 9}  # every odd survivor count occurs
 
@@ -139,6 +142,85 @@ def test_raster_gap_matches_the_explicit_rasterization():
                 assert raster_gap(spec, b, depth) == gap, (spec, b, depth)
                 values.add(gap)
     assert {-1, 0, 1, 2} <= values
+
+
+def array_edge_coords(spec, axis, far, depth):
+    """Sorted cross-axis coordinates of the depth-k cells on one edge.
+
+    The far edge of axis 0 is the rightmost column, its near edge the
+    leftmost; for axis 1 the top and bottom rows.  Every coordinate is
+    built, |edge digits|^depth of them.
+    """
+    size, base = (spec.n, spec.m) if axis == 0 else (spec.m, spec.n)
+    end = size - 1 if far else 0
+    coords = np.array([0], dtype=np.int64)
+    digits = np.array(sorted(d[1 - axis] for d in spec.digits if d[axis] == end), dtype=np.int64)
+    for _ in range(depth):
+        if digits.size == 0:
+            return np.array([], dtype=np.int64)
+        # coords stay sorted and distinct: the digits are, and lie below base
+        coords = (base * coords[:, None] + digits[None, :]).ravel()
+    return coords
+
+
+def array_edge_gap(spec, axis, depth):
+    """Least |far - near| over all edge coordinates, by binary search of
+    each far coordinate among the near ones; -1 when an edge is empty."""
+    a = array_edge_coords(spec, axis, True, depth)
+    b = array_edge_coords(spec, axis, False, depth)
+    if a.size == 0 or b.size == 0:
+        return -1
+    idx = np.searchsorted(b, a)
+    return int(min(np.abs(a - b[np.clip(idx + shift, 0, b.size - 1)]).min() for shift in (-1, 0)))
+
+
+def test_raster_gap_matches_the_array_of_every_edge_cell():
+    """The digit recursion against the coordinates of every edge cell, on
+    1000 carpets up to 8x8 at depths 1-9, skipping only an edge of more
+    than 2^18 cells."""
+    rng = random.Random(10)
+    compared = skipped = 0
+    values = set()
+    for _ in range(1000):
+        n = rng.randint(2, 8)
+        m = rng.randint(2, 8)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        for axis, b in ((0, (1, 0)), (1, (0, 1))):
+            size = (n, m)[axis]
+            widest = max(sum(d[axis] == end for d in spec.digits) for end in (0, size - 1))
+            for depth in range(1, 10):
+                if widest**depth > 2**18:
+                    skipped += 1
+                    continue
+                gap = array_edge_gap(spec, axis, depth)
+                assert raster_gap(spec, b, depth) == gap, (spec, axis, depth)
+                assert raster_gap(spec, (-b[0], -b[1]), depth) == gap, (spec, axis, depth)
+                values.add(min(gap, 2))
+                compared += 1
+    assert compared > 10_000 and skipped > 0
+    assert values == {-1, 0, 1, 2}
+
+
+def test_raster_gap_refuses_a_depth_below_one():
+    # on #.#/.#./#.# depths 0 and -1 used to read as touching
+    spec = CarpetSpec(3, 3, ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2)))
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be positive"):
+            raster_gap(spec, (1, 0), depth)
+        with pytest.raises(ValueError, match="depth must be positive"):
+            raster_overlap(spec, (1, 0), depth)
+
+
+def test_raster_gap_refuses_an_offset_outside_the_nine():
+    # on #.#/.#./#.# the offset (2, 0) used to give the gap of (1, 0)
+    spec = CarpetSpec(3, 3, ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2)))
+    for b in ((2, 0), (0, -2), (1, 1, 0), (1,)):
+        with pytest.raises(ValueError, match="not one of the nine unit offsets"):
+            raster_gap(spec, b, 3)
+        with pytest.raises(ValueError, match="not one of the nine unit offsets"):
+            raster_overlap(spec, b, 3)
+    assert raster_gap(spec, (0, 0), 3) == 0
 
 
 def test_chain_survivors_leaves_no_garbage():

@@ -97,7 +97,7 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="revision of the change side")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=40)
+    p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--workdir", help="directory outside the repository for the unpacked trees "
                                      "(default: a temporary directory, removed afterwards)")

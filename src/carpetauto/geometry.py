@@ -31,13 +31,16 @@ depth*|far|*|near| steps, not one per edge cell.
 is exact: it is computed in integers scaled by the lcm D of each axis's
 ratio denominators, and returned as one Fraction per coordinate.
 `projector(spec, depth)` builds the per-letter integer tables once and
-returns the fold from a word to its scaled corner (Sx, Sy) over the
+returns the map from a word to its scaled corner (Sx, Sy) over the
 denominators (Dx^depth, Dy^depth); a caller that projects many words at
-one depth calls it once, and `project` runs the fold for a single word.
+one depth calls it once, and `project` runs it for a single word.  The
+map applies q whole periods of a word at once by a geometric sum, which
+is an exact integer because every ratio is below 1 (see `projector`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,9 +153,16 @@ def projector(spec: "CarpetSpec", depth: int):
     lcm of an axis's ratio denominators, the cell widths a = r*D and left
     edges b = left*D are integers, and folding S <- S*D + W*b[d],
     W <- W*a[d] over the first `depth` letters gives the coordinate
-    S / D^depth, the same rational as the sum of products.  The tables
-    are built here once; corner() refuses a word with a letter outside
-    the alphabet.
+    S / D^depth, the same rational as the sum of products.
+
+    The fold is linear in (S, W): a period of p letters is the map
+    S <- S*D^p + W*B, W <- W*A, with (B, A) its fold from (0, 1), and q
+    periods are S <- S*D^(pq) + W*B*(D^(pq) - A^q)/(D^p - A), W <- W*A^q,
+    the geometric sum of the terms D^(p(q-1-i))*A^i.  This is exact:
+    n, m >= 2 makes every ratio below 1, so A < D^p, and D^p - A divides
+    D^(pq) - A^q.  corner() folds the preperiod, the q whole periods at
+    once and the leftover letters; it refuses a word with a letter
+    outside the alphabet.  The tables are built here once.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -162,29 +172,43 @@ def projector(spec: "CarpetSpec", depth: int):
     # table[letter] = (b_x, a_x, b_y, a_y) of the letter's digit
     table = [None] + [(bx[d1], ax[d1], by[d2], ay[d2]) for d1, d2 in spec.digits]
 
-    def corner(word: "PeriodicWord"):
-        letters = word.preperiod + word.period
-        if min(letters) < 1 or max(letters) > N:
-            raise ValueError(f"word {word} has letters outside the alphabet 1..{N}")
-        sx = sy = 0
-        wx = wy = 1
-        for letter in word.prefix(depth):
+    def fold(letters, sx, wx, sy, wy):
+        for letter in letters:
             lx, cx, ly, cy = table[letter]
             sx = sx * dx + wx * lx
             sy = sy * dy + wy * ly
             wx *= cx
             wy *= cy
-        return sx, sy
+        return sx, wx, sy, wy
+
+    def corner(word: "PeriodicWord"):
+        pre, per = word.preperiod, word.period
+        letters = pre + per
+        if min(letters) < 1 or max(letters) > N:
+            raise ValueError(f"word {word} has letters outside the alphabet 1..{N}")
+        sx, wx, sy, wy = fold(pre[:depth], 0, 1, 0, 1)
+        q, r = divmod(max(depth - len(pre), 0), len(per))
+        if q:
+            p = len(per)
+            px, pa, py, pb = fold(per, 0, 1, 0, 1)
+            gx, gy = (dx**p) ** q, (dy**p) ** q
+            sx = sx * gx + wx * px * (gx - pa**q) // (dx**p - pa)
+            sy = sy * gy + wy * py * (gy - pb**q) // (dy**p - pb)
+            wx *= pa**q
+            wy *= pb**q
+        return fold(per[:r], sx, wx, sy, wy)[::2]
 
     return corner, (dx**depth, dy**depth), max(fx, fy) ** depth
 
 
 def _scaled(ratios):
-    """(D, widths*D, left edges*D, float(max ratio)) for one axis's ratios."""
+    """(D, widths*D, left edges*D, float(max ratio)) for one axis's ratios,
+    in integer arithmetic: the left edges are running sums of the widths,
+    and max(widths) / D is the correctly rounded float of the max ratio."""
     D = math.lcm(*(r.denominator for r in ratios))
-    widths = tuple(int(r * D) for r in ratios)
-    lefts = tuple(int(x * D) for x in _cumulative(ratios))
-    return D, widths, lefts, float(max(ratios))
+    widths = tuple(r.numerator * (D // r.denominator) for r in ratios)
+    lefts = tuple(itertools.accumulate(widths[:-1], initial=0))
+    return D, widths, lefts, max(widths) / D
 
 
 def _cumulative(ratios):

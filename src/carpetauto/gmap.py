@@ -14,12 +14,16 @@ alphabet and maps back.  With j >= 0, g and h exchange
 
 The image reader takes κ λ^j κ γ γ over κ λ^j κ γ where it can, and
 leaves any γ after τ γ γ as single letters.  Multi-letter segments end
-in γ, so they never reach into a tail whose letter is not γ.
+in γ, so they never reach into a tail whose letter is not γ.  They also
+begin with κ or τ, so g and h map a stem holding neither letter to
+itself, and return such a word unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .words import PeriodicWord, check_letters
 
 
 @dataclass(frozen=True)
@@ -30,24 +34,28 @@ class GContext:
     tau: int
 
     def __post_init__(self):
+        check_letters((self.gamma, self.lam, self.kappa, self.tau), "a context")
         if len({self.gamma, self.lam, self.kappa}) != 3:
             raise ValueError("gamma, lambda, kappa must be pairwise distinct")
         if self.tau in (self.gamma, self.kappa):
             raise ValueError("tau must differ from gamma and kappa")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OmegaWord:
     """A word ``stem`` followed by kappa forever; stem never ends in kappa."""
 
     stem: tuple[int, ...]
     kappa: int
 
-    def __post_init__(self):
-        stem = tuple(self.stem)
-        while stem and stem[-1] == self.kappa:
-            stem = stem[:-1]
-        object.__setattr__(self, "stem", stem)
+    def __init__(self, stem, kappa):
+        stem = tuple(stem)
+        check_letters(stem + (kappa,), "a word")
+        n = len(stem)
+        while n and stem[n - 1] == kappa:
+            n -= 1
+        object.__setattr__(self, "stem", stem[:n])
+        object.__setattr__(self, "kappa", kappa)
 
     def letter(self, k: int) -> int:
         if k < 1:
@@ -55,8 +63,6 @@ class OmegaWord:
         return self.stem[k - 1] if k <= len(self.stem) else self.kappa
 
     def to_periodic(self):
-        from .words import PeriodicWord
-
         return PeriodicWord(self.stem, (self.kappa,))
 
     def __str__(self):
@@ -144,15 +150,20 @@ def g0_inverse(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
     return _one_segment(ctx, seg, True, "image")
 
 
-def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:
+def _apply(ctx: GContext, x: OmegaWord, image: bool) -> OmegaWord:
+    """g on x, or h with `image` set; x itself when its stem holds
+    neither kappa nor tau (module docstring).  A gamma tail is refused."""
+    if x.kappa != ctx.gamma and ctx.kappa not in x.stem and ctx.tau not in x.stem:
+        return x
     out = []
-    for _, img in _word_segments(ctx, x, False):
+    for _, img in _word_segments(ctx, x, image):
         out += img
     return OmegaWord(tuple(out), x.kappa)
 
 
+def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:
+    return _apply(ctx, x, False)
+
+
 def h_apply(ctx: GContext, u: OmegaWord) -> OmegaWord:
-    out = []
-    for _, img in _word_segments(ctx, u, True):
-        out += img
-    return OmegaWord(tuple(out), u.kappa)
+    return _apply(ctx, u, True)

@@ -20,28 +20,35 @@ from .errors import InternalError
 
 def _primitive_root(period: tuple[int, ...]) -> tuple[int, ...]:
     n = len(period)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and period[:d] * (n // d) == period:
             return period[:d]
     return period
 
 
-@dataclass(frozen=True)
+def check_letters(letters, where: str) -> None:
+    """Refuse any letter that is not an int: a bool, 1.5, '3' or numpy integer."""
+    for a in letters:
+        if type(a) is not int:
+            raise ValueError(f"non-integer letter {a!r} in {where}")
+
+
+@dataclass(frozen=True, init=False)
 class PeriodicWord:
-    """An eventually periodic infinite word ``preperiod . period^inf``."""
+    """An eventually periodic infinite word ``preperiod . period^inf``,
+    whose constructor sets each field once, in canonical form."""
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod, period):
+        pre = tuple(preperiod)
+        per = tuple(period)
+        if not per:
             raise ValueError("period must be nonempty")
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
-        for a in pre + per:
-            if type(a) is not int:  # a bool, 1.5 or '3' is no letter
-                raise ValueError(f"non-integer letter {a!r} in a word")
-        per = _primitive_root(per)
+        check_letters(pre + per, "a word")
+        if len(per) > 1:
+            per = _primitive_root(per)
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
@@ -74,6 +81,8 @@ class PeriodicWord:
 
     def shift(self, k: int = 1) -> "PeriodicWord":
         """Drop the first k letters."""
+        if k < 0:
+            raise IndexError(k)
         if k <= len(self.preperiod):
             return PeriodicWord(self.preperiod[k:], self.period)
         r = (k - len(self.preperiod)) % len(self.period)

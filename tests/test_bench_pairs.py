@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,18 @@ def test_the_work_directory_must_lie_outside_the_repository():
         bench_pairs.main(["--label", "x", "--parent", "HEAD", "--change", "HEAD",
                           "--workload", "simplify", "--seeds", "1",
                           "--workdir", str(bench_pairs.ROOT / "scratch")])
+
+
+def test_a_series_without_seconds_runs_forty_seconds(tmp_path, monkeypatch):
+    # the int default 40 used to end main in AttributeError on 40.is_integer()
+    seen = {}
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: types.SimpleNamespace(stdout="abc1234\n"))
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "record_pairs",
+                        lambda path, meta, sides, workload, seeds, seconds, trace:
+                        seen.update(seconds=seconds))
+    assert bench_pairs.main(["--label", "x", "--parent", "HEAD", "--change", "HEAD",
+                             "--workload", "simplify", "--seeds", "1",
+                             "--workdir", str(tmp_path)]) == 0
+    assert seen["seconds"] == 40 and type(seen["seconds"]) is int

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from carpetauto.geometry import (
     chain_survivors,
     cylinder_rects,
     project,
+    projector,
     raster_gap,
     raster_overlap,
     render_svg,
@@ -303,6 +305,67 @@ def test_project_matches_the_fraction_reference():
                 assert project(spec, word, depth) == project_reference(spec, word, depth), (
                     spec, word, depth)
     assert ratio_bearing == 20
+
+
+def reference_corner(spec):
+    """The corner map as `projector` built it before the closed form:
+    tables in Fraction arithmetic, then a letter-by-letter fold over the
+    first `depth` letters, returned with the denominators and the error
+    bound."""
+
+    def scaled(ratios):
+        D = math.lcm(*(r.denominator for r in ratios))
+        lefts = [sum(ratios[:k], Fraction(0)) for k in range(len(ratios))]
+        return D, [int(r * D) for r in ratios], [int(x * D) for x in lefts]
+
+    dx, ax, bx = scaled(spec.horizontal_ratios())
+    dy, ay, by = scaled(spec.vertical_ratios())
+    rstar = float(max(spec.horizontal_ratios() + spec.vertical_ratios()))
+
+    def corner(word, depth):
+        sx = sy = 0
+        wx = wy = 1
+        for letter in word.prefix(depth):
+            d1, d2 = spec.digits[letter - 1]
+            sx = sx * dx + wx * bx[d1]
+            sy = sy * dy + wy * by[d2]
+            wx *= ax[d1]
+            wy *= ay[d2]
+        return (sx, sy), (dx**depth, dy**depth), rstar**depth
+
+    return corner
+
+
+def test_projector_matches_the_letter_by_letter_fold():
+    """1000 seeded carpets up to 7x7, three in four with random ratios,
+    at four depths from 1-3, 4-6, 7-20 and 21-33, on words with
+    preperiods of 0-6 and periods of 1-5 letters; some depths end
+    within the preperiod."""
+    rng = random.Random(19)
+    within = ratio_bearing = 0
+    for trial in range(1000):
+        n = rng.randint(2, 7)
+        m = rng.randint(2, 7)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        digits = tuple(rng.sample(cells, rng.randint(1, len(cells))))
+        if trial % 4:
+            spec = CarpetSpec(n, m, digits, hratios=random_ratios(rng, n),
+                              vratios=random_ratios(rng, m))
+            ratio_bearing += 1
+        else:
+            spec = CarpetSpec(n, m, digits)
+        N = len(spec.digits)
+        reference = reference_corner(spec)
+        for low, high in ((1, 3), (4, 6), (7, 20), (21, 33)):
+            depth = rng.randint(low, high)
+            corner, denominators, err = projector(spec, depth)
+            for _ in range(3):
+                word = PeriodicWord([rng.randint(1, N) for _ in range(rng.randint(0, 6))],
+                                    [rng.randint(1, N) for _ in range(rng.randint(1, 5))])
+                assert (corner(word), denominators, err) == reference(word, depth), (
+                    spec, word, depth)
+                within += depth <= len(word.preperiod)
+    assert ratio_bearing == 750 and within > 1000
 
 
 def test_project_rejects_letters_outside_the_alphabet():

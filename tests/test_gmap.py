@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from carpetauto.gmap import (
     GContext,
+    _segments,
     OmegaWord,
     g0,
     g0_inverse,
@@ -179,3 +182,54 @@ def gmap_outcomes() -> str:
 def test_every_short_outcome_is_pinned():
     digest = hashlib.sha256(gmap_outcomes().encode()).hexdigest()
     assert digest == GMAP_PIN
+
+
+def test_words_and_contexts_refuse_letters_that_are_not_integers():
+    # 4.0 used to read as tau: g mapped (4.0, 1, 1, 1, 5) to 32315(3)^inf
+    with pytest.raises(ValueError, match="non-integer letter 4.0 in a word"):
+        g_apply(CTX, OmegaWord((4.0, 1, 1, 1, 5), 3))
+    for bad in (2.0, True, "3", np.int64(4)):
+        message = f"non-integer letter {re.escape(repr(bad))} in a"
+        for stem, tail in (((1, bad), 3), ((1, 2), bad)):
+            with pytest.raises(ValueError, match=message + " word"):
+                OmegaWord(stem, tail)
+        for k in range(4):
+            letters = [1, 2, 5, 6]
+            letters[k] = bad
+            with pytest.raises(ValueError, match=message + " context"):
+                GContext(*letters)
+    assert str(g_apply(CTX, OmegaWord((4, 1, 1, 1, 5), 3))) == "32315(3)^inf"
+
+
+def segment_image(ctx, x, image):
+    """The image of x built from its greedy segments, as g and h were
+    computed before they returned a kappa- and tau-free word unchanged."""
+    out = tuple(a for _, img in _segments(ctx, x.stem, image) for a in img)
+    return OmegaWord(out, x.kappa)
+
+
+def test_g_and_h_agree_with_the_segment_built_image():
+    """Every context over six letters with every stem of up to three
+    letters, and the pinned contexts with every stem of up to five.  g and
+    h commute with relabelling the letters, and every context over six
+    letters relabels (1, 2, 3, 4) or (1, 2, 3, 2), so the long stems need
+    only those.  The word itself comes back exactly when its stem holds
+    neither kappa nor tau."""
+    letters = range(1, 7)
+    contexts = [GContext(g, lam, k, t) for g, lam, k, t in itertools.product(letters, repeat=4)
+                if len({g, lam, k}) == 3 and t not in (g, k)]
+    assert len(contexts) == 480
+    short = [s for k in range(4) for s in itertools.product(letters, repeat=k)]
+    long = [s for k in range(4, 6) for s in itertools.product(letters, repeat=k)]
+    fixed = moved = 0
+    for ctx, stems in [(c, short) for c in contexts] + [(c, long) for c in PIN_CONTEXTS]:
+        for stem in stems:
+            x = OmegaWord(stem, ctx.kappa)
+            free = ctx.kappa not in x.stem and ctx.tau not in x.stem
+            for fn, image in ((g_apply, False), (h_apply, True)):
+                y = fn(ctx, x)
+                assert y == segment_image(ctx, x, image), (ctx, stem, fn)
+                assert (y is x) == free, (ctx, stem, fn)
+            fixed += free
+            moved += not free
+    assert fixed > 10_000 and moved > 10_000

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,3 +114,51 @@ def test_prefix_agrees_with_letter(pre, root, reps):
         assert w.prefix(k) == tuple(w.letter(i) for i in range(1, k + 1))
     with pytest.raises(IndexError):
         w.prefix(-1)
+
+
+def test_shift_refuses_a_negative_count():
+    # shift(-1) of 1.2.3(4) used to return 3(4), as if it dropped letters
+    w = PeriodicWord((1, 2, 3), (4,))
+    for k in (-1, -4):
+        with pytest.raises(IndexError):
+            w.shift(k)
+    assert w.shift(0) == w and w.shift(4) == PeriodicWord((), (4,))
+
+
+def reference_canonical(pre, per):
+    """The canonical form as the constructor computed it before it set
+    each field once: primitive root by every divisor, then one rotation
+    per absorbed preperiod letter."""
+    pre, per = tuple(pre), tuple(per)
+    n = len(per)
+    per = next(per[:d] for d in range(1, n + 1) if n % d == 0 and per[:d] * (n // d) == per)
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1:] + per[:-1]
+    return pre, per
+
+
+def test_canonical_form_agrees_with_the_reference():
+    """10,000 seeded words, from tuples, lists and ranges; many periods
+    are powers and many preperiods end in copies of the period."""
+    rng = random.Random(19)
+    absorbed = powers = 0
+    for trial in range(10_000):
+        N = rng.randint(1, 4)
+        if trial % 3 == 2:  # ranges of consecutive letters
+            a, b = rng.randint(1, N), rng.randint(1, N)
+            pre, per = range(a, a + rng.randint(0, 3)), range(b, b + rng.randint(1, 3))
+        else:
+            root = [rng.randint(1, N) for _ in range(rng.randint(1, 3))]
+            per = root * rng.randint(1, 3)
+            pre = [rng.randint(1, N) for _ in range(rng.randint(0, 3))] + per * rng.randint(0, 2)
+            if trial % 3 == 0:
+                pre, per = tuple(pre), tuple(per)
+        w = PeriodicWord(pre, per)
+        assert (w.preperiod, w.period) == reference_canonical(pre, per), (pre, per)
+        assert w == PeriodicWord(w.preperiod, w.period)
+        assert hash(w) == hash(PeriodicWord(w.preperiod, w.period))
+        assert repr(w) == f"PeriodicWord(preperiod={w.preperiod!r}, period={w.period!r})"
+        absorbed += len(w.preperiod) < len(pre)
+        powers += len(w.period) < len(per)
+    assert absorbed > 1000 and powers > 1000

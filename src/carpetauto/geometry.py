@@ -211,15 +211,6 @@ def _scaled(ratios):
     return D, widths, lefts, max(widths) / D
 
 
-def _cumulative(ratios):
-    acc = Fraction(0)
-    out = []
-    for r in ratios:
-        out.append(acc)
-        acc += r
-    return out
-
-
 def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
     """All depth-k cylinder rectangles as (x, y, w, h) Fractions, y-up.
 
@@ -234,8 +225,8 @@ def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
         raise ValueError(f"{len(spec.digits)}^{depth} rectangles exceed cap {cap}")
     hr = spec.horizontal_ratios()
     vr = spec.vertical_ratios()
-    hleft = _cumulative(hr)
-    vleft = _cumulative(vr)
+    hleft = tuple(itertools.accumulate(hr[:-1], initial=Fraction(0)))
+    vleft = tuple(itertools.accumulate(vr[:-1], initial=Fraction(0)))
     rects = [(Fraction(0), Fraction(0), Fraction(1), Fraction(1))]
     for _ in range(depth):
         nxt = []

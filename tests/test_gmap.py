@@ -8,7 +8,6 @@ import pytest
 
 from carpetauto.gmap import (
     GContext,
-    _segments,
     OmegaWord,
     g0,
     g0_inverse,
@@ -16,6 +15,7 @@ from carpetauto.gmap import (
     h_apply,
     m_decompose,
     m_prime_decompose,
+    _segments,
 )
 from carpetauto.words import common_prefix_length
 

@@ -17,7 +17,10 @@ untraced runs, it prints:
   workload with the same seed pair up in the order they are listed);
 - whether the gap between the medians exceeds the parent's interquartile
   range, in the direction the metric counts as better;
-- whether the change's median is within the metric's regression bound.
+- whether the change's median is within the metric's regression bound;
+- whether the claim rule of the choosing-metrics guide holds: at least
+  ten pairs, the change better in at least nine tenths of them, and the
+  gap between the medians beyond the parent's interquartile range.
 
 It also counts each side's runs that failed their correctness check or
 had failed requests.  Both files are only read.
@@ -33,6 +36,7 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 SIDES = ("parent", "change")
+CLAIM_PAIRS = 10  # the fewest pairs on which a gain may be claimed
 
 
 def quartiles(values):
@@ -78,6 +82,8 @@ def summarize(runs, metrics):
             gain = parent - change if lower else change - parent
             wins = sum(1 for p, c in pairs if (value(c) < value(p) if lower else value(c) > value(p)))
             limit = parent * (1 + metric["bound"] if lower else 1 - metric["bound"])
+            gap_exceeds_iqr = gain > q["parent"][2] - q["parent"][0]
+            claim = len(pairs) >= CLAIM_PAIRS and 10 * wins >= 9 * len(pairs) and gap_exceeds_iqr
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -87,8 +93,9 @@ def summarize(runs, metrics):
                 "delta": (change - parent) / parent if parent else 0.0,
                 "wins": wins,
                 "pairs": len(pairs),
-                "gap_exceeds_iqr": gain > q["parent"][2] - q["parent"][0],
+                "gap_exceeds_iqr": gap_exceeds_iqr,
                 "within_bound": change <= limit if lower else change >= limit,
+                "claim": claim,
             })
     return rows
 
@@ -107,12 +114,12 @@ def format_rows(rows) -> str:
         return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
     header = ("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]",
-              "resolved", "delta", "wins", "gap > parent IQR", "within bound")
+              "resolved", "delta", "wins", "gap > parent IQR", "within bound", "claim rule")
     table = [header] + [(
         r["workload"], r["metric"], q(r["parent"]), q(r["change"]),
         "yes" if r["resolved"] else "no", f"{r['delta']:+.1%}",
         f"{r['wins']}/{r['pairs']}", "yes" if r["gap_exceeds_iqr"] else "no",
-        "yes" if r["within_bound"] else "NO",
+        "yes" if r["within_bound"] else "NO", "met" if r["claim"] else "no",
     ) for r in rows]
     widths = [max(len(line[k]) for line in table) for k in range(len(header))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()

@@ -44,6 +44,15 @@ def state_name(state) -> str:
     return _OFFSET_NAMES[state]
 
 
+def _shown_state(state) -> str:
+    """The state's name as the JSON form writes it, or its repr when it
+    has none; for messages about states that may be malformed."""
+    try:
+        return state_name(state)
+    except (KeyError, TypeError):  # TypeError: an unhashable state
+        return repr(state)
+
+
 def state_from_name(name: str):
     if name in (ID, EXIT):
         return name
@@ -133,11 +142,14 @@ class SigmaAutomaton:
             raise AutomatonError("the states must include Id and Exit")
         for (s, i, j), t in self.delta.items():
             if s == EXIT or s not in self.states or t not in self.states:
-                raise AutomatonError(f"transition ({s}, {i}, {j}) -> {t} leaves the state set")
+                raise AutomatonError(f"transition ({_shown_state(s)}, {i}, {j}) -> "
+                                     f"{_shown_state(t)} leaves the state set")
             if not type(i) is type(j) is int:  # a bool, 1.5 or '3' is no letter
-                raise AutomatonError(f"non-integer letter in transition ({s}, {i!r}, {j!r})")
+                raise AutomatonError(
+                    f"non-integer letter in transition ({_shown_state(s)}, {i!r}, {j!r})")
             if not (1 <= i <= N and 1 <= j <= N):
-                raise AutomatonError(f"letter outside 1..{N} in transition ({s}, {i}, {j})")
+                raise AutomatonError(
+                    f"letter outside 1..{N} in transition ({_shown_state(s)}, {i}, {j})")
         bad = [(i, j) for (s, i, j), t in self.delta.items() if s == ID and t == ID and i != j]
         bad += [(i, i) for i in self.letters() if self.delta.get((ID, i, i)) != ID]
         if bad:

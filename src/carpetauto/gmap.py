@@ -14,9 +14,13 @@ alphabet and maps back.  With j >= 0, g and h exchange
 
 The image reader takes κ λ^j κ γ γ over κ λ^j κ γ where it can, and
 leaves any γ after τ γ γ as single letters.  Multi-letter segments end
-in γ, so they never reach into a tail whose letter is not γ.  They also
-begin with κ or τ, so g and h map a stem holding neither letter to
-itself, and return such a word unchanged.
+in γ, so they never reach into a tail whose letter is not γ.
+
+The reader returns only the multi-letter segments, by position; every
+other letter is its own segment and its own image.  So g and h copy the
+stem between those segments and splice in their images, and return a
+word in which the reader finds none (a stem holding neither κ nor τ, for
+one) unchanged.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class OmegaWord:
 
 
 def _segments(ctx: GContext, s: tuple[int, ...], image: bool):
-    """The greedy segments of `s` paired with their images (module table).
+    """The greedy multi-letter segments of `s`, as (start, end, image)
+    with s[start:end] mapped to image (module table); every other letter
+    is a segment of its own and its own image.
 
     Reads the source alphabet and maps by g, or with `image` set reads
     the image alphabet and maps by h.
@@ -96,7 +102,7 @@ def _segments(ctx: GContext, s: tuple[int, ...], image: bool):
                     img = (kappa,) + (lam,) * (j + 1) + (kappa, gamma)
                 else:
                     img = (tau,) + (gamma,) * (j + 2)
-                out.append((s[pos:end], img))
+                out.append((pos, end, img))
                 pos = end
                 continue
         elif a == tau:
@@ -108,38 +114,50 @@ def _segments(ctx: GContext, s: tuple[int, ...], image: bool):
                     q, img = pos + 3, (kappa, kappa, gamma)
                 else:
                     img = (kappa,) + (lam,) * (q - pos - 3) + (kappa, gamma)
-                out.append((s[pos:q], img))
+                out.append((pos, q, img))
                 pos = q
                 continue
-        seg = s[pos : pos + 1]
-        out.append((seg, seg))
         pos += 1
     return out
 
 
 def _word_segments(ctx: GContext, x: OmegaWord, image: bool):
-    """The segments of x's stem with their images.  A multi-letter segment
-    ends in gamma, so a gamma tail, which could extend one, is refused."""
+    """The multi-letter segments of x's stem.  A multi-letter segment ends
+    in gamma, so a gamma tail, which could extend one, is refused."""
     if x.kappa == ctx.gamma:
         raise ValueError("tail letter clashes with gamma")
     return _segments(ctx, x.stem, image)
 
 
+def _all_segments(s: tuple[int, ...], multi) -> list[tuple[int, ...]]:
+    """Every segment of `s`: its multi-letter segments `multi`, and each
+    letter between them alone."""
+    out = []
+    last = 0
+    for start, end, _ in multi:
+        out += [(a,) for a in s[last:start]]
+        out.append(s[start:end])
+        last = end
+    return out + [(a,) for a in s[last:]]
+
+
 def m_decompose(ctx: GContext, x: OmegaWord) -> list[tuple[int, ...]]:
     """The source segments of the stem."""
-    return [seg for seg, _ in _word_segments(ctx, x, False)]
+    return _all_segments(x.stem, _word_segments(ctx, x, False))
 
 
 def m_prime_decompose(ctx: GContext, u: OmegaWord) -> list[tuple[int, ...]]:
     """The image segments of the stem."""
-    return [seg for seg, _ in _word_segments(ctx, u, True)]
+    return _all_segments(u.stem, _word_segments(ctx, u, True))
 
 
 def _one_segment(ctx, seg, image, alphabet):
-    pairs = _segments(ctx, seg, image)
-    if len(pairs) != 1:
+    if len(seg) == 1:
+        return seg[:1]
+    multi = _segments(ctx, seg, image)
+    if len(multi) != 1 or multi[0][:2] != (0, len(seg)):
         raise ValueError(f"segment {seg} is not in the {alphabet} segment alphabet")
-    return pairs[0][1]
+    return multi[0][2]
 
 
 def g0(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
@@ -151,14 +169,32 @@ def g0_inverse(ctx: GContext, seg: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _apply(ctx: GContext, x: OmegaWord, image: bool) -> OmegaWord:
-    """g on x, or h with `image` set; x itself when its stem holds
-    neither kappa nor tau (module docstring).  A gamma tail is refused."""
-    if x.kappa != ctx.gamma and ctx.kappa not in x.stem and ctx.tau not in x.stem:
+    """g on x, or h with `image` set: the stem with each multi-letter
+    segment replaced by its image, spliced between the unchanged letters
+    around it, and x itself when the stem has no such segment.  A gamma
+    tail is refused.
+
+    The result is built without `OmegaWord.__init__`, because its checks
+    hold already.  Every letter comes from the checked stem or the checked
+    context.  The new stem does not end in the tail letter: if the last
+    segment has several letters, its image ends in gamma, which differs
+    from the tail letter because a gamma tail is refused; otherwise the
+    new stem ends in the old stem's last letter, which is not the tail
+    letter either.
+    """
+    multi = _word_segments(ctx, x, image)
+    if not multi:
         return x
-    out = []
-    for _, img in _word_segments(ctx, x, image):
-        out += img
-    return OmegaWord(tuple(out), x.kappa)
+    s = x.stem
+    stem = ()
+    last = 0
+    for start, end, img in multi:
+        stem += s[last:start] + img
+        last = end
+    y = object.__new__(OmegaWord)
+    object.__setattr__(y, "stem", stem + s[last:])
+    object.__setattr__(y, "kappa", x.kappa)
+    return y
 
 
 def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:

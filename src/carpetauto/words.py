@@ -27,10 +27,13 @@ def _primitive_root(period: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def check_letters(letters, where: str) -> None:
-    """Refuse any letter that is not an int: a bool, 1.5, '3' or numpy integer."""
+    """Refuse any letter that is not an int (a bool, 1.5, '3' or numpy
+    integer) or that lies below 1, where every alphabet starts."""
     for a in letters:
         if type(a) is not int:
             raise ValueError(f"non-integer letter {a!r} in {where}")
+        if a < 1:
+            raise ValueError(f"letter {a} below 1 in {where}")
 
 
 @dataclass(frozen=True, init=False)

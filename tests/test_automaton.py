@@ -390,3 +390,20 @@ def test_alphabet_bound():
     for N in (0, -1):
         with pytest.raises(AutomatonError, match=f"N = {N} letters"):
             identity_table(N)
+
+
+def test_refusals_name_states_as_the_json_does():
+    text = '{"N": 2, "states": ["Id"], "delta": {"Id|1,1": "Id", "Id|2,2": "Id", "Id|1,2": "e1"}}'
+    with pytest.raises(AutomatonError, match=r"^transition \(Id, 1, 2\) -> e1 leaves the state set$"):
+        from_json(text)
+    states = frozenset({ID, EXIT, (1, 0)})
+    loops = {(ID, 1, 1): ID, (ID, 2, 2): ID}
+    for key, message in (((-1, 1), r"\(-e1\+e2, 1, 2\) -> e1 leaves"),
+                         ((2, 0), r"\(\(2, 0\), 1, 2\) -> e1 leaves"),
+                         (EXIT, r"\(Exit, 1, 2\) -> e1 leaves")):
+        with pytest.raises(AutomatonError, match=message):
+            SigmaAutomaton(2, states, {**loops, (key, 1, 2): (1, 0)})
+    with pytest.raises(AutomatonError, match=r"letter in transition \(e1, 1.5, 2\)"):
+        SigmaAutomaton(2, states, {**loops, ((1, 0), 1.5, 2): ID})
+    with pytest.raises(AutomatonError, match=r"outside 1..2 in transition \(e1, 1, 3\)"):
+        SigmaAutomaton(2, states, {**loops, ((1, 0), 1, 3): ID})

@@ -49,6 +49,7 @@ def test_summary_of_a_synthetic_record():
     assert p50["delta"] == pytest.approx(-0.3 / 1.1)
     assert (p50["wins"], p50["pairs"]) == (2, 3)
     assert p50["gap_exceeds_iqr"] and p50["within_bound"]
+    assert not p50["claim"]  # 2 wins in 3 pairs, and fewer than ten pairs
     rps = rows[("simplify", "requests_per_s")]
     assert rps["parent"][1] == 90 and rps["change"][1] == 125
     assert (rps["wins"], rps["pairs"]) == (2, 3)
@@ -94,5 +95,33 @@ def test_script_prints_one_line_per_workload_and_metric(tmp_path, capsys):
     assert lines[0].split()[:2] == ["workload", "metric"]
     assert len(lines) == 1 + 4 + 2
     survey = next(line for line in lines if line.startswith("survey") and "latency_p50_s" in line)
-    assert survey.split()[-4:] == ["+30.0%", "0/1", "no", "NO"]
+    assert survey.split()[-5:] == ["+30.0%", "0/1", "no", "NO", "no"]
     assert lines[-1] == "change: 5 runs, 1 not correct or with failed requests"
+
+
+def test_claim_rule_needs_nine_tenths_of_ten_pairs_and_a_gap_beyond_the_iqr(tmp_path, capsys):
+    # the parent's p50 runs 1.00 ... 1.09 have quartiles 1.0225 and 1.0675;
+    # the change reads 0.9 except on seed 3, where it loses: 9 wins in 10
+    # pairs and a median gap of 0.145.  Its requests_per_s also wins 9 of
+    # 10 pairs, but by a median gap of 1, inside the parent's spread of 4.5.
+    runs = []
+    for k in range(10):
+        side_runs = [run("parent", "verify", k, 1.0 + k / 100, 100 + k),
+                     run("change", "verify", k, 1.05 if k == 3 else 0.9,
+                         99 if k == 0 else 101 + k)]
+        runs += side_runs if k % 2 else side_runs[::-1]
+    rows = {r["metric"]: r for r in bench_summary.summarize(runs, METRICS)}
+    p50, rps = rows["latency_p50_s"], rows["requests_per_s"]
+    assert (p50["wins"], p50["pairs"]) == (9, 10) and p50["gap_exceeds_iqr"]
+    assert p50["claim"]
+    assert (rps["wins"], rps["pairs"]) == (9, 10) and not rps["gap_exceeds_iqr"]
+    assert not rps["claim"]
+    # the same record less one pair: 8 wins in 9 pairs, and fewer than ten
+    rows = bench_summary.summarize([r for r in runs if r["seed"] != 9], METRICS)
+    assert not any(r["claim"] for r in rows)
+    record = tmp_path / "BENCH_claim.json"
+    record.write_text(json.dumps({"label": "claim", "runs": runs}))
+    assert bench_summary.main([str(record)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-2:] == ["claim", "rule"]
+    assert [line.split()[-1] for line in lines[1:3]] == ["met", "no"]

@@ -157,6 +157,15 @@ def test_gmap_rejects_wrong_tail(capsys):
     assert run(["gmap", "--ctx", "1,2,3,4", "4.1(2)"]) == 3
 
 
+def test_gmap_refuses_letters_below_one(capsys):
+    # both used to exit 0 with a report, though every alphabet is 1..N
+    assert run(["gmap", "--ctx", "0,2,3,4", "1(3)"]) == 3
+    assert "letter 0 below 1 in a context" in capsys.readouterr().err
+    assert run(["gmap", "--ctx", "1,2,3,4", "0.2(3)"]) == 3
+    captured = capsys.readouterr()
+    assert "letter 0 below 1 in a word" in captured.err and not captured.out
+
+
 def test_render(carpet_file, tmp_path):
     out = tmp_path / "c.svg"
     assert run(["render", carpet_file, "--depth", "2", "--out", str(out)]) == 0
@@ -184,9 +193,12 @@ def test_bad_input_exit_code(tmp_path, capsys):
 
 
 def test_survive_rejects_letters_outside_the_alphabet(carpet_file, capsys):
-    for word in ("(9)", "(0)", "1.6(2)"):
+    for word in ("(9)", "1.6(2)"):
         assert run(["survive", carpet_file, word, "(1)"]) == 3
         assert "outside 1..5" in capsys.readouterr().err
+    # a letter below 1 lies in no alphabet, so the word itself refuses it
+    assert run(["survive", carpet_file, "(0)", "(1)"]) == 3
+    assert "letter 0 below 1 in a word" in capsys.readouterr().err
 
 
 def test_malformed_automaton_is_rejected_under_optimize(tmp_path):

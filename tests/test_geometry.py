@@ -370,9 +370,12 @@ def test_projector_matches_the_letter_by_letter_fold():
 
 def test_project_rejects_letters_outside_the_alphabet():
     spec = CarpetSpec(3, 3, ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2)))  # #.#/.#./#.#
-    for word in (PeriodicWord.constant(0), PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
+    for word in (PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
         with pytest.raises(ValueError, match=r"outside the alphabet 1\.\.5"):
             project(spec, word, 4)
+    # a letter below 1 lies in no alphabet: the word itself refuses it
+    with pytest.raises(ValueError, match="letter 0 below 1 in a word"):
+        project(spec, PeriodicWord.constant(0), 4)
 
 
 def test_cylinder_rects_partition_measure():

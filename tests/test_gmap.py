@@ -15,7 +15,6 @@ from carpetauto.gmap import (
     h_apply,
     m_decompose,
     m_prime_decompose,
-    _segments,
 )
 from carpetauto.words import common_prefix_length
 
@@ -201,20 +200,84 @@ def test_words_and_contexts_refuse_letters_that_are_not_integers():
     assert str(g_apply(CTX, OmegaWord((4, 1, 1, 1, 5), 3))) == "32315(3)^inf"
 
 
-def segment_image(ctx, x, image):
-    """The image of x built from its greedy segments, as g and h were
-    computed before they returned a kappa- and tau-free word unchanged."""
-    out = tuple(a for _, img in _segments(ctx, x.stem, image) for a in img)
-    return OmegaWord(out, x.kappa)
+def test_words_and_contexts_refuse_letters_below_one():
+    # GContext(0, 2, 3, 4) and OmegaWord((0, 2), 3) used to be accepted,
+    # though every alphabet is 1..N
+    for bad in (0, -2):
+        for stem, tail in (((bad, 2), 3), ((1, 2), bad)):
+            with pytest.raises(ValueError, match=f"^letter {bad} below 1 in a word$"):
+                OmegaWord(stem, tail)
+        for k in range(4):
+            letters = [1, 2, 5, 6]
+            letters[k] = bad
+            with pytest.raises(ValueError, match=f"^letter {bad} below 1 in a context$"):
+                GContext(*letters)
+
+
+def reference_segments(ctx, s, image):
+    """Every greedy segment of `s` paired with its image, single letters
+    included: the reader g, h, m, m', g0 and g0_inverse were built on
+    before it returned only the multi-letter segments, by position."""
+    gamma, lam, kappa, tau = ctx.gamma, ctx.lam, ctx.kappa, ctx.tau
+    n = len(s)
+    out = []
+    pos = 0
+    while pos < n:
+        a = s[pos]
+        if a == kappa:
+            q = pos + 1
+            while q < n and s[q] == lam:
+                q += 1
+            if q + 1 < n and s[q] == kappa and s[q + 1] == gamma:
+                j, end = q - pos - 1, q + 2
+                if not image and j:
+                    img = (kappa,) + (lam,) * (j - 1) + (kappa, gamma, gamma)
+                elif not image:
+                    img = (tau, gamma, gamma)
+                elif end < n and s[end] == gamma:
+                    end += 1
+                    img = (kappa,) + (lam,) * (j + 1) + (kappa, gamma)
+                else:
+                    img = (tau,) + (gamma,) * (j + 2)
+                out.append((s[pos:end], img))
+                pos = end
+                continue
+        elif a == tau:
+            q = pos + 1
+            while q < n and s[q] == gamma:
+                q += 1
+            if q - pos >= 3:
+                if image:
+                    q, img = pos + 3, (kappa, kappa, gamma)
+                else:
+                    img = (kappa,) + (lam,) * (q - pos - 3) + (kappa, gamma)
+                out.append((s[pos:q], img))
+                pos = q
+                continue
+        seg = s[pos : pos + 1]
+        out.append((seg, seg))
+        pos += 1
+    return out
+
+
+def reference_one_segment(ctx, seg, image):
+    """g0, or g0_inverse with `image` set, by the reference reader."""
+    pairs = reference_segments(ctx, seg, image)
+    if len(pairs) != 1:
+        alphabet = "image" if image else "source"
+        return f"ValueError: segment {seg} is not in the {alphabet} segment alphabet"
+    return repr(pairs[0][1])
 
 
 def test_g_and_h_agree_with_the_segment_built_image():
-    """Every context over six letters with every stem of up to three
-    letters, and the pinned contexts with every stem of up to five.  g and
-    h commute with relabelling the letters, and every context over six
-    letters relabels (1, 2, 3, 4) or (1, 2, 3, 2), so the long stems need
-    only those.  The word itself comes back exactly when its stem holds
-    neither kappa nor tau."""
+    """g, h, m, m', g0 and g0_inverse against the reference reader, on
+    every context over six letters with every stem of up to three letters,
+    and the pinned contexts with every stem of up to five.  g and h commute
+    with relabelling the letters, and every context over six letters
+    relabels (1, 2, 3, 4) or (1, 2, 3, 2), so the long stems need only
+    those.  g and h return the word itself exactly when the reference
+    reads every segment of its stem as a single letter, as on every stem
+    holding neither kappa nor tau."""
     letters = range(1, 7)
     contexts = [GContext(g, lam, k, t) for g, lam, k, t in itertools.product(letters, repeat=4)
                 if len({g, lam, k}) == 3 and t not in (g, k)]
@@ -222,14 +285,20 @@ def test_g_and_h_agree_with_the_segment_built_image():
     short = [s for k in range(4) for s in itertools.product(letters, repeat=k)]
     long = [s for k in range(4, 6) for s in itertools.product(letters, repeat=k)]
     fixed = moved = 0
+    maps = ((g_apply, m_decompose, g0, False), (h_apply, m_prime_decompose, g0_inverse, True))
     for ctx, stems in [(c, short) for c in contexts] + [(c, long) for c in PIN_CONTEXTS]:
         for stem in stems:
             x = OmegaWord(stem, ctx.kappa)
-            free = ctx.kappa not in x.stem and ctx.tau not in x.stem
-            for fn, image in ((g_apply, False), (h_apply, True)):
-                y = fn(ctx, x)
-                assert y == segment_image(ctx, x, image), (ctx, stem, fn)
-                assert (y is x) == free, (ctx, stem, fn)
-            fixed += free
-            moved += not free
-    assert fixed > 10_000 and moved > 10_000
+            for apply, decompose, one, image in maps:
+                pairs = reference_segments(ctx, x.stem, image)
+                y = apply(ctx, x)
+                assert y == OmegaWord(tuple(a for _, img in pairs for a in img), x.kappa)
+                singles = all(len(seg) == 1 for seg, _ in pairs)
+                assert (y is x) == singles, (ctx, stem, apply)
+                if ctx.kappa not in stem and ctx.tau not in stem:
+                    assert y is x
+                assert decompose(ctx, x) == [seg for seg, _ in pairs], (ctx, stem)
+                assert _outcome(one, ctx, stem) == reference_one_segment(ctx, stem, image)
+                fixed += singles
+                moved += not singles
+    assert fixed > 250_000 and moved > 3_000

@@ -152,11 +152,14 @@ def test_projection_zero_distance_pairs_coincide():
 def test_projection_check_rejects_letters_outside_the_alphabet():
     spec = SQUARE_TOP_5
     M = build_topology_automaton(spec)
-    for word in (PeriodicWord.constant(0), PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
+    for word in (PeriodicWord.constant(9), PeriodicWord((2, 6), (1,))):
         for pair in ((PeriodicWord.constant(1), word), (word, PeriodicWord.constant(1))):
             message = rf"word {re.escape(str(word))} has letters outside the alphabet 1\.\.5"
             with pytest.raises(ValueError, match=message):
                 check_projection_bounds(spec, M, [pair])
+    # a letter below 1 lies in no alphabet: the word itself refuses it
+    with pytest.raises(ValueError, match="letter 0 below 1 in a word"):
+        check_projection_bounds(spec, M, [(PeriodicWord.constant(1), PeriodicWord.constant(0))])
 
 
 def test_report_dict_shape():

@@ -42,6 +42,16 @@ def test_constructor_refuses_letters_that_are_not_integers():
     assert str(PeriodicWord((1,), (2, 3))) == "1(2.3)"
 
 
+def test_constructor_refuses_letters_below_one():
+    # every alphabet is 1..N, so 0.2(3) named no word of any carpet
+    for pre, per, bad in (((0, 2), (3,), 0), ((), (1, -4), -4), ((), (0,), 0)):
+        with pytest.raises(ValueError, match=f"^letter {bad} below 1 in a word$"):
+            PeriodicWord(pre, per)
+    with pytest.raises(ValueError, match="letter 0 below 1"):
+        parse_word("0.2(3)")
+    assert str(PeriodicWord((1,), (2,))) == "1(2)"
+
+
 def test_constant_word():
     w = PeriodicWord.constant(3)
     assert w.letter(1) == w.letter(100) == 3

@@ -174,13 +174,15 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
     exit otherwise.  So the transitions from s into a surviving v are
     exactly the letter pairs whose digit difference is v - (n*s_x, m*s_y),
     read from the digit difference index; the pairs of difference zero
-    are the Id self-loops.  The survivors are those of the companion,
-    which shares the carpet's n, m and digits, the only fields the oracle
-    reads, so the carpet itself is passed.  Transitions are read only
-    from states reached from Id, in one breadth-first pass, so states
-    unreachable from Id never enter the table.
+    are the Id self-loops.  Only the targets in `geometry.MOVES[s]`, Id
+    reading as (0, 0), can have such pairs, so the others are skipped and
+    the rest read in the order the survivors list them.  The survivors are those of the
+    companion, which shares the carpet's n, m and digits, the only fields
+    the oracle reads, so the carpet itself is passed.  Transitions are
+    read only from states reached from Id, in one breadth-first pass, so
+    states unreachable from Id never enter the table.
     """
-    from .geometry import build_oracle, difference_index
+    from .geometry import MOVES, build_oracle, difference_index
 
     index = difference_index(spec)
     oracle = build_oracle(spec, index)
@@ -189,7 +191,10 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
     reached = [ID]
     for s in reached:  # the list grows while it is read: a breadth-first search
         sx, sy = (0, 0) if s == ID else s
+        moves = MOVES[(sx, sy)]
         for v in targets:
+            if v not in moves:
+                continue
             pairs = index.get((v[0] - spec.n * sx, v[1] - spec.m * sy), ())
             for i, j in pairs:
                 delta[(s, i, j)] = v
@@ -247,7 +252,8 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
 
     Only the benchmark's verify workload calls this sampled check; it
     stays until that workload times the exact `decide_feasibility`
-    instead (ROADMAP item 5).
+    instead (ROADMAP item 1, the benchmark switch), and then goes with
+    the deletion ledger (ROADMAP item 7).
     """
 
     def t(a, b):

@@ -10,7 +10,6 @@ alphabet refer to digits in that order.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,28 +214,29 @@ class HBlock:
 
 
 def h_blocks(spec: CarpetSpec) -> list[HBlock]:
-    """Maximal runs of consecutive occupied columns, row by row."""
-    by_cell = {d: i for i, d in enumerate(spec.digits, start=1)}
+    """Maximal runs of consecutive occupied columns, row by row.
+
+    One pass over the digits, which `CarpetSpec` keeps bottom row first
+    and left to right, so that the letter of the k-th digit is k + 1: a
+    run ends where the row changes or a column is skipped.
+    """
+    digits = spec.digits
     blocks = []
-    for row in range(spec.m):
-        cols = sorted(c for c, r in spec.digits if r == row)
-        run: list[int] = []
-        for c in cols + [None]:
-            if run and (c is None or c != run[-1] + 1):
-                columns = tuple(run)
-                if len(columns) == spec.n:
-                    kind = "Full"
-                elif columns[0] == 0:
-                    kind = "Left"
-                elif columns[-1] == spec.n - 1:
-                    kind = "Right"
-                else:
-                    kind = "Interior"
-                letters = tuple(by_cell[(col, row)] for col in columns)
-                blocks.append(HBlock(row, columns, letters, kind))
-                run = []
-            if c is not None:
-                run.append(c)
+    start = 0
+    for k in range(1, len(digits) + 1):
+        if k < len(digits) and digits[k] == (digits[k - 1][0] + 1, digits[k - 1][1]):
+            continue
+        columns = tuple(c for c, _ in digits[start:k])
+        if len(columns) == spec.n:
+            kind = "Full"
+        elif columns[0] == 0:
+            kind = "Left"
+        elif columns[-1] == spec.n - 1:
+            kind = "Right"
+        else:
+            kind = "Interior"
+        blocks.append(HBlock(digits[start][1], columns, tuple(range(start + 1, k + 1)), kind))
+        start = k
     return blocks
 
 
@@ -262,16 +262,27 @@ def row_pairs(blocks) -> list[tuple[HBlock, HBlock]]:
     return [(lefts[b.row], b) for b in blocks if b.kind == "Right" and b.row in lefts]
 
 
-def profile(spec: CarpetSpec) -> HBlockProfile:
+def block_scan(spec: CarpetSpec):
+    """(blocks, pairs): the carpet's `h_blocks` and their `row_pairs`, for
+    a caller that reads them more than once."""
     blocks = h_blocks(spec)
-    sizes = tuple(sorted(b.size for b in blocks))
-    pairs = [(left.size, right.size) for left, right in row_pairs(blocks)]
-    fiber = tuple(
-        sum(1 for d in spec.digits if d[1] == row) for row in range(spec.m)
-    )
-    per_row = Counter()
+    return blocks, row_pairs(blocks)
+
+
+def profile(spec: CarpetSpec, scan=None) -> HBlockProfile:
+    """The H-block profile, from the carpet's `block_scan` (`scan`, when
+    the caller has made it already).
+
+    The fiber, the digit count of each row, is summed over the blocks,
+    whose letters must then run through 1..N in order: a check that the
+    blocks partition the row-sorted digits.
+    """
+    blocks, pairs = scan or block_scan(spec)
+    fiber = [0] * spec.m
     for b in blocks:
-        per_row[b.row] += b.size
-    if sum(sizes) != len(spec.digits) or any(per_row[row] != fiber[row] for row in range(spec.m)):
+        fiber[b.row] += b.size
+    if [a for b in blocks for a in b.letters] != list(spec.letters()):
         raise InternalError("the H-blocks do not partition the digits row by row")
-    return HBlockProfile(sizes, tuple(sorted(pairs)), fiber)
+    sizes = tuple(sorted(b.size for b in blocks))
+    pair_sizes = tuple(sorted((left.size, right.size) for left, right in pairs))
+    return HBlockProfile(sizes, pair_sizes, tuple(fiber))

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .automaton import build_topology_automaton, surviving_time
-from .carpet import CarpetSpec, check_conditions, h_blocks, profile, row_pairs
+from .carpet import CarpetSpec, block_scan, check_conditions, profile
 from .cross import CrossAutomaton, DiagonalStatePresent, from_topology_automaton
 from .errors import InternalError
 from .simplify import final_chain
@@ -54,15 +54,11 @@ class LetterBijection:
         }
 
 
-def _split_blocks(spec: CarpetSpec):
+def _split_blocks(blocks, pairs):
     """Separate pair-constituent blocks from free blocks, deterministically."""
-    blocks = h_blocks(spec)
-    pairs = row_pairs(blocks)
     used = {b for pair in pairs for b in pair}
-    free = [b for b in blocks if b not in used]
-    pairs.sort(key=lambda p: (p[0].size, p[1].size, p[0].row))
-    free.sort(key=lambda b: (b.size, b.row, b.columns[0]))
-    return pairs, free
+    free = sorted((b for b in blocks if b not in used), key=lambda b: (b.size, b.row, b.columns[0]))
+    return sorted(pairs, key=lambda p: (p[0].size, p[1].size, p[0].row)), free
 
 
 def build_letter_bijection(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
@@ -73,15 +69,16 @@ def build_letter_bijection(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
     j-th letter.  The result is checked to preserve the in-row adjacency
     relation and the wrap-around relation of both carpets.
     """
-    bij = _match_blocks(E, F)
+    bij = _match_blocks(block_scan(E), block_scan(F))
     ce, cf = (from_topology_automaton(build_topology_automaton(X)) for X in (E, F))
     _verify_preservation(ce, cf, bij)
     return bij
 
 
-def _match_blocks(E: CarpetSpec, F: CarpetSpec) -> LetterBijection:
-    pairs_e, free_e = _split_blocks(E)
-    pairs_f, free_f = _split_blocks(F)
+def _match_blocks(scan_e, scan_f) -> LetterBijection:
+    """The letter bijection of two carpets' `block_scan` results."""
+    pairs_e, free_e = _split_blocks(*scan_e)
+    pairs_f, free_f = _split_blocks(*scan_f)
     if len(pairs_e) != len(pairs_f) or len(free_e) != len(free_f):
         raise ValueError("block inventories do not match")
     mapping = {}
@@ -167,8 +164,10 @@ def decide_equivalence(E: CarpetSpec, F: CarpetSpec) -> EquivalenceVerdict:
         f"E: topIsolated={rep_e.top_isolated} verticalSeparation={rep_e.vertical_separation}; "
         f"F: topIsolated={rep_f.top_isolated} verticalSeparation={rep_f.vertical_separation}",
     )
-    prof_e = profile(E)
-    prof_f = profile(F)
+    scan_e = block_scan(E)
+    scan_f = block_scan(F)
+    prof_e = profile(E, scan_e)
+    prof_f = profile(F, scan_f)
     ok &= record(
         "blockSizesMatch",
         Counter(prof_e.block_sizes) == Counter(prof_f.block_sizes),
@@ -190,7 +189,7 @@ def decide_equivalence(E: CarpetSpec, F: CarpetSpec) -> EquivalenceVerdict:
         except DiagonalStatePresent as e:
             record("noDiagonalState", False, f"{side}: {e}")
             return EquivalenceVerdict("Inconclusive", tuple(reasons), None)
-    certificate = _match_blocks(E, F)
+    certificate = _match_blocks(scan_e, scan_f)
     _verify_preservation(*crosses, certificate)
     lipschitz = (
         E.is_fractal_square() and F.is_fractal_square() and E.n == F.n and E.m == F.m

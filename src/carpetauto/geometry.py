@@ -11,13 +11,23 @@ over digit pairs (d, d'); K ∩ (K + b) ≠ ∅ iff some such b' stays inside
 {-1,0,1}^2 and itself survives.  The survivors therefore form the
 greatest fixed point of this one-step filter on at most nine nodes.
 
-Only the difference d' - d of a digit pair matters, so `difference_index`
-groups the N^2 letter pairs by it once.  The successors of each of the
-nine offsets are then the in-box b' whose difference b' - (n*bx, m*by)
-occurs in the index: at most 81 lookups, computed once before the fixed
-point.  The topology automaton reads its transitions from the same
-index.  `offset_successors` and `chain_survivors` keep the direct loop
-over digit pairs as an independent reference.
+Only the difference d' - d of a digit pair matters, and only few
+differences can ever be read.  A move from b to b' reads the difference
+b' - (n*bx, m*by), whose x part must be a digit difference e1 - d1 in
+[-(n-1), n-1].  With bx = 0 that is b'x itself, in {-1, 0, 1}.  With
+bx = 1 it is b'x - n, in {-n-1, -n, 1-n}, of which only 1-n is in range,
+so b'x = 1; with bx = -1 likewise only b'x = -1 gives n-1.  The y part
+is alike with m.  So a move exists only when b' agrees with b on every
+nonzero component of b: `MOVES[b]` lists those b', 9 from (0, 0), 3 from
+each of the four axis offsets and 1 from each of the four diagonal ones,
+25 moves in all of the 81 (b, b') pairs.  The differences they read are
+exactly the admissible ones, with x in {-1, 0, 1, n-1, 1-n} and y in
+{-1, 0, 1, m-1, 1-m}, and `difference_index` stores only those, out of
+its loop over the N^2 letter pairs.  The successors of each offset are
+the moves whose difference occurs in the index, computed once before the
+fixed point.  The topology automaton reads its transitions from the same
+moves and the same index.  `offset_successors` and `chain_survivors`
+keep the direct loop over digit pairs as an independent reference.
 
 `raster_gap` is the other independent check: the cell gap between the
 depth-k rasterizations of K and K + b, read from the grid's edge digits
@@ -54,17 +64,29 @@ if TYPE_CHECKING:
 
 OFFSETS = tuple((bx, by) for by in (-1, 0, 1) for bx in (-1, 0, 1))
 
+# b -> the offsets b' that agree with b wherever b is nonzero: the only
+# moves b -> b' whose difference b' - (n*bx, m*by) can be a digit
+# difference (see the module docstring); 25 in all.
+MOVES = {
+    b: frozenset(v for v in OFFSETS if all(c == bc for c, bc in zip(v, b) if bc))
+    for b in OFFSETS
+}
+
 
 def difference_index(spec) -> dict:
-    """(e1 - d1, e2 - d2) -> the letter pairs (i, j) with d = d_i, e = d_j.
+    """(e1 - d1, e2 - d2) -> the letter pairs (i, j) with d = d_i, e = d_j,
+    for the admissible differences only, the ones a move of `MOVES` reads.
 
     Pairs are listed in (i, j) order.  Distinct digits make the pairs
     stored under (0, 0) exactly the diagonal (i, i).
     """
+    xs = {-1, 0, 1, spec.n - 1, 1 - spec.n}
+    ys = {-1, 0, 1, spec.m - 1, 1 - spec.m}
     index = {}
     for i, (d1, d2) in enumerate(spec.digits, start=1):
         for j, (e1, e2) in enumerate(spec.digits, start=1):
-            index.setdefault((e1 - d1, e2 - d2), []).append((i, j))
+            if e1 - d1 in xs and e2 - d2 in ys:
+                index.setdefault((e1 - d1, e2 - d2), []).append((i, j))
     return index
 
 
@@ -98,14 +120,15 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
 
     Only n, m and digits of `spec` are read, so a ratio-bearing carpet
     gives the oracle of its companion without building the companion.
-    The successors of the nine offsets are read once from the digit
-    difference index (`index`, when the caller has built it already),
-    so each round of the fixed point is nine set intersections.
+    The successors of the nine offsets are read once, from the 25 moves
+    of `MOVES` and the digit difference index (`index`, when the caller
+    has built it already), so each round of the fixed point is nine set
+    intersections.
     """
     if index is None:
         index = difference_index(spec)
     successors = {
-        b: {v for v in OFFSETS if (v[0] - spec.n * b[0], v[1] - spec.m * b[1]) in index}
+        b: {v for v in MOVES[b] if (v[0] - spec.n * b[0], v[1] - spec.m * b[1]) in index}
         for b in OFFSETS
     }
     alive = set(OFFSETS)

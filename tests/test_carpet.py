@@ -7,6 +7,7 @@ import pytest
 from carpetauto.carpet import (
     CarpetError,
     CarpetSpec,
+    HBlock,
     check_conditions,
     digit_letter,
     h_blocks,
@@ -199,6 +200,47 @@ def test_h_blocks_kinds_and_sizes():
     assert [b.size for b in by_row[2]] == [2]
     assert by_row[3][0].kind == "Interior"
     assert by_row[4][0].size == 1
+
+
+def reference_h_blocks(spec):
+    """The per-row scan `h_blocks` made before its one pass: every digit
+    scanned and the columns sorted once per row."""
+    by_cell = {d: i for i, d in enumerate(spec.digits, start=1)}
+    blocks = []
+    for row in range(spec.m):
+        cols = sorted(c for c, r in spec.digits if r == row)
+        run = []
+        for c in cols + [None]:
+            if run and (c is None or c != run[-1] + 1):
+                columns = tuple(run)
+                if len(columns) == spec.n:
+                    kind = "Full"
+                elif columns[0] == 0:
+                    kind = "Left"
+                elif columns[-1] == spec.n - 1:
+                    kind = "Right"
+                else:
+                    kind = "Interior"
+                blocks.append(HBlock(row, columns, tuple(by_cell[(col, row)] for col in columns), kind))
+                run = []
+            if c is not None:
+                run.append(c)
+    return blocks
+
+
+def test_h_blocks_and_fiber_match_the_per_row_scan():
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(500):
+        n, m = rng.randint(2, 9), rng.randint(2, 9)
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        spec = CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        blocks = h_blocks(spec)
+        assert blocks == reference_h_blocks(spec), spec
+        fiber = tuple(sum(1 for d in spec.digits if d[1] == row) for row in range(spec.m))
+        assert profile(spec).fiber == fiber
+        kinds.update(b.kind for b in blocks)
+    assert kinds == {"Full", "Left", "Right", "Interior"}
 
 
 def test_block_letters_follow_columns():

@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from carpetauto.automaton import random_word
-from carpetauto.carpet import CarpetSpec, h_blocks, parse_carpet, profile, row_pairs
+from carpetauto.carpet import CarpetSpec, block_scan, h_blocks, parse_carpet, profile, row_pairs
 from carpetauto.classify import (
     _split_blocks,
     build_letter_bijection,
@@ -165,7 +166,22 @@ def test_row_pairs_match_the_per_row_loops_on_random_carpets():
         assert [left.row for left, _ in pairs] == sorted({left.row for left, _ in pairs})
         assert all(left.row == right.row for left, right in pairs)
         assert profile(spec).pair_sizes == reference_pair_sizes(spec)
-        assert _split_blocks(spec) == reference_split_blocks(spec)
+        assert _split_blocks(*block_scan(spec)) == reference_split_blocks(spec)
         seen["pairs"] += len(pairs)
-        seen["free"] += len(_split_blocks(spec)[1])
+        seen["free"] += len(_split_blocks(*block_scan(spec))[1])
     assert min(seen.values()) >= 100, seen
+
+
+def test_decide_equivalence_scans_each_carpets_blocks_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return h_blocks(spec)
+
+    for name, module in list(sys.modules.items()):  # every module that binds h_blocks
+        if name.split(".")[0] == "carpetauto" and getattr(module, "h_blocks", None) is h_blocks:
+            monkeypatch.setattr(module, "h_blocks", counted)
+    verdict = decide_equivalence(TOP_ISOLATED_11, VSEP_11)
+    assert verdict.status == "HolderEquivalent"  # the checklist passed: the certificate ran
+    assert calls == [TOP_ISOLATED_11, VSEP_11]

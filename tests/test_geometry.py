@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carpetauto.automaton import random_word
+from carpetauto.automaton import EXIT, ID, build_topology_automaton, random_word
 from carpetauto.carpet import CarpetSpec
 from carpetauto.geometry import (
+    MOVES,
     OFFSETS,
     build_oracle,
     chain_survivors,
+    difference_index,
     cylinder_rects,
     project,
     projector,
@@ -86,6 +88,101 @@ def test_oracle_matches_chain_enumeration_up_to_8x8():
                 assert (b in survivors) == raster_overlap(spec, b), (spec, b)
         sizes.add(len(survivors))
     assert sizes == {1, 3, 5, 7, 9}  # every odd survivor count occurs
+
+
+def reference_difference_index(spec):
+    """The full grouping of all N^2 letter pairs, which `difference_index`
+    made before it kept only the admissible differences."""
+    index = {}
+    for i, (d1, d2) in enumerate(spec.digits, start=1):
+        for j, (e1, e2) in enumerate(spec.digits, start=1):
+            index.setdefault((e1 - d1, e2 - d2), []).append((i, j))
+    return index
+
+
+def reference_survivors(spec, index):
+    """The fixed point of `build_oracle` over all 81 (b, v) moves."""
+    successors = {
+        b: {v for v in OFFSETS if (v[0] - spec.n * b[0], v[1] - spec.m * b[1]) in index}
+        for b in OFFSETS
+    }
+    alive = set(OFFSETS)
+    while True:
+        kept = {b for b in alive if successors[b] & alive}
+        if kept == alive:
+            break
+        alive = kept
+    return frozenset(alive)
+
+
+def reference_delta(spec):
+    """The topology automaton's table built as before the move table: the
+    full index, every surviving target looked up from every state."""
+    index = reference_difference_index(spec)
+    delta = {(ID, i, j): ID for i, j in index[(0, 0)]}
+    targets = [v for v in reference_survivors(spec, index) if v != (0, 0)]
+    reached = [ID]
+    for s in reached:
+        sx, sy = (0, 0) if s == ID else s
+        for v in targets:
+            pairs = index.get((v[0] - spec.n * sx, v[1] - spec.m * sy), ())
+            for i, j in pairs:
+                delta[(s, i, j)] = v
+            if pairs and v not in reached:
+                reached.append(v)
+    return delta, frozenset({*reached, EXIT})
+
+
+def random_small_carpet(rng):
+    """A uniform carpet up to 9x9, with n or m equal to 2 a third of the time."""
+    n, m = rng.randint(2, 9), rng.randint(2, 9)
+    if rng.random() < 1 / 3:
+        n, m = rng.choice(((2, m), (n, 2)))
+    cells = [(a, b) for a in range(n) for b in range(m)]
+    return CarpetSpec(n, m, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+
+
+def admissible(spec, key):
+    return key[0] in {-1, 0, 1, spec.n - 1, 1 - spec.n} and key[1] in {-1, 0, 1, spec.m - 1, 1 - spec.m}
+
+
+def test_moves_hold_every_readable_difference():
+    assert sum(map(len, MOVES.values())) == 25
+    assert [len(MOVES[b]) for b in OFFSETS] == [1, 3, 1, 3, 9, 3, 1, 3, 1]
+    for n in range(2, 13):
+        for m in range(2, 13):
+            for b in OFFSETS:
+                for v in OFFSETS:
+                    kx, ky = v[0] - n * b[0], v[1] - m * b[1]
+                    in_range = abs(kx) <= n - 1 and abs(ky) <= m - 1
+                    assert in_range == (v in MOVES[b]), (n, m, b, v)
+
+
+def test_the_filtered_index_keeps_every_read_pair_and_the_same_automaton():
+    rng = random.Random(20261020)
+    seen = {"n2": 0, "m2": 0, "dropped": 0, "states": set()}
+    for _ in range(1500):
+        spec = random_small_carpet(rng)
+        index = difference_index(spec)
+        full = reference_difference_index(spec)
+        for b in OFFSETS:
+            for v in OFFSETS:
+                key = (v[0] - spec.n * b[0], v[1] - spec.m * b[1])
+                assert index.get(key, []) == full.get(key, []), (spec, b, v)
+        assert all(admissible(spec, key) for key in index), spec
+        assert all(full[key] == pairs for key, pairs in index.items())
+        survivors = build_oracle(spec).survivors
+        assert survivors == reference_survivors(spec, full), spec
+        M = build_topology_automaton(spec)
+        delta, states = reference_delta(spec)
+        assert list(M.delta.items()) == list(delta.items()), spec
+        assert M.states == states
+        seen["n2"] += spec.n == 2
+        seen["m2"] += spec.m == 2
+        seen["dropped"] += len(full) > len(index)
+        seen["states"].add(len(states))
+    assert min(seen["n2"], seen["m2"]) >= 300 and seen["dropped"] >= 1000, seen
+    assert seen["states"] == {2, 4, 6, 8, 10}, seen  # Id, Exit and 0-8 offsets
 
 
 def raster_cells(spec, depth):

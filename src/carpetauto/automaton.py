@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .words import PeriodicWord
 
@@ -272,35 +273,79 @@ def check_feasibility(M: SigmaAutomaton, t0: int, triples):
     return violations
 
 
+def infinite_core(nodes, successors) -> set:
+    """The greatest subset of `nodes` in which every node has one of its
+    successors(node) inside the subset: the nodes that start an endless walk
+    in it.  Each round keeps the nodes with a successor kept last round."""
+    core = set(nodes)
+    while (kept := {v for v in core if not core.isdisjoint(successors(v))}) != core:
+        core = kept
+    return core
+
+
+def explore(start, moves, wanted, lasso: bool):
+    """Breadth-first search from `start` for a wanted state or a lasso.
+
+    moves(state) lists (move, next state) pairs; a state's first reaching
+    move is its parent pointer, so paths are shortest, ties broken in move
+    order.  Without `lasso` the first reached wanted state is picked, never
+    the start.  With `lasso` every state is reached, and the first, in
+    breadth-first order, in the `infinite_core` of the wanted ones is picked.
+
+    Returns None, or (path, period): the moves of a shortest path to the
+    picked state, then [] or, with `lasso`, the first move into the core
+    from each state until a state repeats, whose repeated part is the period.
+    """
+
+    def path_to(state):
+        path = []
+        while parent[state] is not None:
+            state, move = parent[state]
+            path.append(move)
+        path.reverse()
+        return path
+
+    parent = {start: None}  # state -> (its predecessor on a shortest path, the move)
+    reached = [start]
+    graph = {}  # state -> its moves
+    for state in reached:  # the list grows while it is read: a breadth-first search
+        graph[state] = out = moves(state)
+        for move, nxt in out:
+            if nxt not in parent:
+                parent[nxt] = (state, move)
+                if not lasso and wanted(nxt):
+                    return path_to(nxt), []
+                reached.append(nxt)
+    if not lasso:
+        return None
+    second = itemgetter(1)  # a move's next state
+    core = infinite_core(filter(wanted, reached), lambda s: map(second, graph[s]))
+    if not core:
+        return None
+    state = next(state for state in reached if state in core)
+    path, walk = path_to(state), {}  # walk: core state -> its step on the path
+    while state not in walk:
+        walk[state] = len(path)
+        move, state = next(move for move in graph[state] if move[1] in core)
+        path.append(move)
+    return path[:walk[state]], path[walk[state]:]
+
+
 def search_triples(delta: dict, wanted, lasso: bool, cap: int = 0):
-    """Breadth-first search for words x, y, z whose joint run meets `wanted`.
+    """`explore` the joint run of words x, y, z for a state that meets `wanted`.
 
-    `delta` is the transition table the three pairs read, (state, i, j)
-    -> state with Exit for a missing entry, as in `SigmaAutomaton`: the
-    table of a sigma automaton or of a cross automaton
-    (`CrossAutomaton.transition_table`).  A joint state (s_xy, s_xz,
-    s_yz) holds the states of the three pairs; once (y,z) exits, its
-    component counts the steps since the exit, up to `cap`.  Moves are
-    the input triples (i, j, k), in lexicographic order, that keep (x,y)
-    and (x,z) alive.  The search picks the first reached joint state that
-    is wanted or, with `lasso`, from which some run stays among wanted
-    states forever: the greatest fixed point of "wanted, with a move into
-    the set" over the reached states.  The pruning toward it stops as
-    soon as the set is empty, so a search where no wanted state moves
-    into a wanted state (every coding-free cross automaton) ends after
-    one pass over the wanted states.
-
-    Returns (True, None), or (False, (x, y, z)): a shortest path to the
-    picked state, then the letter 1 forever or, with `lasso`, the first
-    move into the set from each state until a state repeats, whose
-    repeated part is the period.
+    `delta` is the (state, i, j) -> state table the three pairs read, Exit
+    when missing: a sigma automaton's or `CrossAutomaton.transition_table`.
+    A joint state (s_xy, s_xz, s_yz) starts at (Id, Id, Id); once (y,z)
+    exits, its component counts the steps since, up to `cap`.  Moves are the
+    input triples (i, j, k), in lexicographic order, that keep (x,y) and
+    (x,z) alive.  Returns (True, None), or (False, (x, y, z)): the words of
+    the found path, then of its period or else the letter 1 forever.
     """
     succ = successor_index(delta)
     rows = {}  # state -> [(i, [(j, target)])] over the letters i it reads without exiting
-    for (state, i), moves in succ.items():
+    for (state, i), moves in sorted(succ.items(), key=lambda entry: entry[0][1]):
         rows.setdefault(state, []).append((i, moves))
-    for row in rows.values():
-        row.sort(key=lambda entry: entry[0])
     targets = {key: dict(moves) for key, moves in succ.items()}  # (state, j) -> {k: target}
 
     def moves(js):
@@ -319,47 +364,12 @@ def search_triples(delta: dict, wanted, lasso: bool, cap: int = 0):
                     out.append(((i, j, k), (t1, t2, row3.get(k, after))))
         return out
 
-    def path_to(js):
-        path = []
-        while parent[js] is not None:
-            js, trip = parent[js]
-            path.append(trip)
-        path.reverse()
-        return path
-
-    def words(path, period):
-        return tuple(PeriodicWord(tuple(t[r] for t in path), tuple(t[r] for t in period))
-                     for r in range(3))
-
-    start = (ID, ID, ID)
-    parent = {start: None}  # joint state -> (its predecessor on a shortest path, the move)
-    reached = [start]
-    graph = {}  # joint state -> its moves
-    for js in reached:  # the list grows while it is read: a breadth-first search
-        graph[js] = out = moves(js)
-        for trip, nxt in out:
-            if nxt not in parent:
-                parent[nxt] = (js, trip)
-                if not lasso and wanted(nxt):
-                    return False, words(path_to(nxt), [(1, 1, 1)])
-                reached.append(nxt)
-    if not lasso:
+    found = explore((ID, ID, ID), moves, wanted, lasso)
+    if found is None:
         return True, None
-    kept = {js for js in reached if wanted(js)}
-    while True:
-        pruned = {js for js in kept if any(nxt in kept for _, nxt in graph[js])}
-        if not pruned:
-            return True, None
-        if pruned == kept:
-            break
-        kept = pruned
-    js = next(js for js in reached if js in kept)
-    path, walk = path_to(js), {}  # walk: kept state -> its step on the path
-    while js not in walk:
-        walk[js] = len(path)
-        trip, js = next(move for move in graph[js] if move[1] in kept)
-        path.append(trip)
-    return False, words(path[:walk[js]], path[walk[js]:])
+    path, period = found[0], found[1] or [(1, 1, 1)]
+    return False, tuple(PeriodicWord(tuple(t[r] for t in path), tuple(t[r] for t in period))
+                        for r in range(3))
 
 
 def decide_feasibility(M: SigmaAutomaton, t0: int):

@@ -90,13 +90,14 @@ def _sigma(source: CarpetSpec | CrossAutomaton | SigmaAutomaton) -> SigmaAutomat
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    if not out:
         print(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e}") from e
 
 
 def cmd_analyze(args):

@@ -18,6 +18,7 @@ from .automaton import (
     ID,
     MAX_LETTER,
     SigmaAutomaton,
+    infinite_core,
     json_decode,
     json_field,
     json_int,
@@ -203,22 +204,12 @@ def touches(rel, letter: int) -> bool:
 
 
 def has_cycle(rel) -> bool:
-    """Whether the relation, read as a directed graph, has a cycle."""
+    """Whether the relation, read as a directed graph, has a cycle: a
+    finite graph has one exactly when its `infinite_core` is nonempty."""
     succ = {}
     for i, j in rel:
         succ.setdefault(i, []).append(j)
-    color = {}
-
-    def visit(v):
-        color[v] = 1
-        for w in succ.get(v, ()):
-            c = color.get(w, 0)
-            if c == 1 or (c == 0 and visit(w)):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color.get(v, 0) == 0 and visit(v) for v in succ)
+    return bool(infinite_core(succ, succ.__getitem__))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ question for offset b to the same question for the offset
 
 over digit pairs (d, d'); K ∩ (K + b) ≠ ∅ iff some such b' stays inside
 {-1,0,1}^2 and itself survives.  The survivors therefore form the
-greatest fixed point of this one-step filter on at most nine nodes.
+greatest fixed point of this one-step filter on at most nine nodes, the
+`automaton.infinite_core` of the offsets that every search shares.
 
 Only the difference d' - d of a digit pair matters, and only few
 differences can ever be read.  A move from b to b' reads the difference
@@ -56,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .automaton import infinite_core
 from .errors import InternalError
 
 if TYPE_CHECKING:
@@ -116,14 +118,13 @@ class IntersectionOracle:
 
 
 def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionOracle:
-    """Greatest fixed point of the offset filter; exact for the companion.
+    """The `infinite_core` of the offset filter; exact for the companion.
 
     Only n, m and digits of `spec` are read, so a ratio-bearing carpet
     gives the oracle of its companion without building the companion.
     The successors of the nine offsets are read once, from the 25 moves
     of `MOVES` and the digit difference index (`index`, when the caller
-    has built it already), so each round of the fixed point is nine set
-    intersections.
+    has built it already).
     """
     if index is None:
         index = difference_index(spec)
@@ -131,12 +132,7 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
         b: {v for v in MOVES[b] if (v[0] - spec.n * b[0], v[1] - spec.m * b[1]) in index}
         for b in OFFSETS
     }
-    alive = set(OFFSETS)
-    while True:
-        kept = {b for b in alive if successors[b] & alive}
-        if kept == alive:
-            break
-        alive = kept
+    alive = infinite_core(OFFSETS, successors.__getitem__)
     if (0, 0) not in alive or any((-b[0], -b[1]) not in alive for b in alive):
         raise InternalError("the surviving offsets must hold 0 and be closed under negation")
     return IntersectionOracle(spec.n, spec.m, spec.digits, frozenset(alive))

@@ -48,7 +48,8 @@ class PseudoDistance:
 
 
 def holder_scale(spec) -> HolderScale:
-    ratios = spec.horizontal_ratios() + spec.vertical_ratios()
+    # an axis without its own ratios has n equal ones, 1/n: one stands for all
+    ratios = (*(spec.hratios or [Fraction(1, spec.n)]), *(spec.vratios or [Fraction(1, spec.m)]))
     r_star = max(ratios)
     r_sub = min(ratios)
     s = math.sqrt(math.log(r_star) / math.log(r_sub))

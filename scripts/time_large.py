@@ -12,7 +12,9 @@ carpet the script prints, in ms, the best of REPEATS runs of each layer:
 - index: ``geometry.difference_index``;
 - oracle: ``geometry.build_oracle`` on that index;
 - build: ``build_topology_automaton``;
-- final_chain: ``simplify.final_chain`` of its cross automaton;
+- search: ``cross.decide_triple_coding_free`` of its cross automaton, the
+  triple search that validates the chain's input (final_chain runs it too);
+- final_chain: ``simplify.final_chain`` of that cross automaton;
 - to_json: ``SimplificationChain.to_json`` of that chain.
 """
 
@@ -29,12 +31,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from carpetauto import geometry  # noqa: E402
 from carpetauto.automaton import build_topology_automaton  # noqa: E402
 from carpetauto.carpet import CarpetError, parse_carpet  # noqa: E402
-from carpetauto.cross import from_topology_automaton  # noqa: E402
+from carpetauto.cross import decide_triple_coding_free, from_topology_automaton  # noqa: E402
 from carpetauto.simplify import final_chain  # noqa: E402
 
 FAMILY_SIZE = 3
 REPEATS = 5
-LAYERS = ("parse", "index", "oracle", "build", "final_chain", "to_json")
+LAYERS = ("parse", "index", "oracle", "build", "search", "final_chain", "to_json")
 
 
 def family(count: int = FAMILY_SIZE) -> list:
@@ -75,6 +77,7 @@ def layer_times(specs, repeats: int = REPEATS) -> list[dict]:
         row["oracle"], _ = best(lambda: geometry.build_oracle(spec, index), repeats)
         row["build"], M = best(lambda: build_topology_automaton(spec), repeats)
         C = from_topology_automaton(M)
+        row["search"], _ = best(lambda: decide_triple_coding_free(C), repeats)
         row["final_chain"], chain = best(lambda: final_chain(C), repeats)
         row["to_json"], _ = best(chain.to_json, repeats)
         rows.append(row)

@@ -11,7 +11,9 @@ from carpetauto.automaton import (
     build_topology_automaton,
     check_feasibility,
     decide_feasibility,
+    explore,
     from_json,
+    infinite_core,
     is_infinite,
     mirror_check,
     neg,
@@ -407,3 +409,69 @@ def test_refusals_name_states_as_the_json_does():
         SigmaAutomaton(2, states, {**loops, ((1, 0), 1.5, 2): ID})
     with pytest.raises(AutomatonError, match=r"outside 1..2 in transition \(e1, 1, 3\)"):
         SigmaAutomaton(2, states, {**loops, ((1, 0), 1, 3): ID})
+
+
+def graph_moves(edges):
+    """moves() of a hand-built graph given as state -> [(move, next state)]."""
+    return lambda state: edges.get(state, [])
+
+
+def test_explore_never_tests_the_start_in_reach_mode():
+    moves = graph_moves({"a": [("ab", "b")], "b": [("ba", "a")]})
+    assert explore("a", moves, lambda s: s == "a", lasso=False) is None
+    assert explore("a", moves, lambda s: s == "b", lasso=False) == (["ab"], [])
+    assert explore("a", moves, lambda s: s == "c", lasso=False) is None
+
+
+def test_explore_breaks_ties_in_move_order():
+    edges = {"a": [("x", "b"), ("y", "c")], "b": [("p", "d")], "c": [("q", "d")]}
+    assert explore("a", graph_moves(edges), lambda s: s == "d", lasso=False) == (["x", "p"], [])
+    edges["a"].reverse()
+    assert explore("a", graph_moves(edges), lambda s: s == "d", lasso=False) == (["y", "q"], [])
+    # the lasso takes the first kept move from each state, in move order too
+    # (d has no move, so it lies in no core)
+    edges = {"a": [("1", "b")], "b": [("u", "d"), ("w", "b"), ("v", "c")], "c": [("z", "c")]}
+    assert explore("a", graph_moves(edges), lambda s: s != "a", lasso=True) == (["1"], ["w"])
+    edges["b"].reverse()
+    assert explore("a", graph_moves(edges), lambda s: s != "a", lasso=True) == (["1", "v"], ["z"])
+
+
+def test_explore_finds_a_self_loop_lasso_and_a_longer_one():
+    moves = graph_moves({"a": [("ab", "b")], "b": [("bb", "b")]})
+    assert explore("a", moves, lambda s: s == "b", lasso=True) == (["ab"], ["bb"])
+    # the start itself may lie in the core
+    assert explore("b", moves, lambda s: True, lasso=True) == ([], ["bb"])
+    moves = graph_moves({"a": [("1", "b")], "b": [("2", "c")], "c": [("3", "b")]})
+    assert explore("a", moves, lambda s: s != "a", lasso=True) == (["1"], ["2", "3"])
+
+
+def test_explore_finds_no_lasso_where_no_wanted_run_lasts():
+    # the wanted states b and c lead only to a dead end or to the unwanted a
+    edges = {"a": [("ab", "b"), ("ac", "c")], "b": [("bd", "d")], "c": [("ca", "a")]}
+    assert explore("a", graph_moves(edges), lambda s: s != "a", lasso=True) is None
+    assert explore("a", graph_moves({}), lambda s: True, lasso=True) is None
+
+
+def walk_lasts(v, nodes, succ, steps) -> bool:
+    """Whether some walk of `steps` steps from v stays in `nodes`, by
+    listing the end of every such walk."""
+    ends = [v] if v in nodes else []
+    for _ in range(steps):
+        ends = [w for u in ends for w in succ.get(u, ()) if w in nodes]
+    return bool(ends)
+
+
+def test_infinite_core_keeps_the_nodes_that_start_a_walk_of_every_length():
+    """A node of a finite set starts an endless walk inside it exactly when
+    it starts one of |nodes| steps.  Successors may lie outside the set and
+    repeat."""
+    rng = random.Random(22)
+    sizes = set()
+    for _ in range(1500):
+        universe = range(rng.randint(1, 7))
+        succ = {v: rng.choices(universe, k=rng.randint(0, 3)) for v in universe}
+        nodes = set(rng.sample(universe, rng.randint(0, len(universe))))
+        core = infinite_core(nodes, lambda v: succ[v])
+        assert core == {v for v in nodes if walk_lasts(v, nodes, succ, len(nodes))}, (succ, nodes)
+        sizes.add((len(core), len(nodes)))
+    assert {(0, 5), (3, 5), (5, 5)} <= sizes, sizes

@@ -581,6 +581,36 @@ def test_console_script_entry_point(carpet_file):
     assert json.loads(proc.stdout)["class"]["kind"] == "Class1"
 
 
+
+def test_out_to_a_missing_directory_or_to_a_directory_is_an_input_error(carpet_file, tmp_path,
+                                                                        capsys):
+    missing = str(tmp_path / "nowhere" / "x")
+    for argv, path in ((["gmap", "--ctx", "1,2,3,4", "1.2(3)", "--out", missing], missing),
+                       (["analyze", carpet_file, "--out", str(tmp_path)], str(tmp_path))):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+    proc = subprocess.run([sys.executable, "-m", "carpetauto", "analyze", carpet_file,
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 3 and proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_cli_loads_no_numpy(carpet_file):
+    """numpy is an optional extra that only fastsim needs: a fresh
+    interpreter that imports the CLI, or runs analyze, loads none of it."""
+    code = "import sys, carpetauto.cli; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "carpetauto", "analyze",
+                           carpet_file], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "carpetauto.cli" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
 json_leaf = st.one_of(
     st.none(), st.booleans(), st.integers(-1, 6), st.floats(),
     st.sampled_from(["1/2", "1/0", "x", "Id", "e1"]),

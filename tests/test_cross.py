@@ -299,6 +299,54 @@ def test_touches_and_has_cycle():
     assert has_cycle({(3, 3)})
 
 
+def reference_has_cycle(rel) -> bool:
+    """The depth-first search has_cycle ran before it read the relation's
+    infinite core, kept as a reference."""
+    succ = {}
+    for i, j in rel:
+        succ.setdefault(i, []).append(j)
+    color = {}
+
+    def visit(v):
+        color[v] = 1
+        for w in succ.get(v, ()):
+            c = color.get(w, 0)
+            if c == 1 or (c == 0 and visit(w)):
+                return True
+        color[v] = 2
+        return False
+
+    return any(color.get(v, 0) == 0 and visit(v) for v in succ)
+
+
+def test_has_cycle_matches_the_depth_first_search():
+    """Empty relations, self-loops, random relations and paths of up to
+    255 letters, open, closed into a cycle, or with forward chords."""
+    rng = random.Random(22)
+    kinds = Counter()
+    for _ in range(2000):
+        kind = rng.choice(("empty", "loop", "random", "path", "closed", "chords"))
+        letters = rng.sample(range(1, 256), rng.randint(2, 255))
+        rel = set(zip(letters, letters[1:]))
+        if kind == "empty":
+            rel = set()
+        elif kind == "loop":
+            rel = {(i, i) for i in rng.sample(letters, rng.randint(1, 2))}
+        elif kind == "random":
+            rel = {tuple(rng.choices(letters[:12], k=2)) for _ in range(rng.randint(1, 12))}
+        elif kind == "closed":
+            rel.add((letters[-1], rng.choice(letters)))
+        elif kind == "chords":
+            for _ in range(rng.randint(1, 20)):
+                a, b = sorted(rng.sample(range(len(letters)), 2))
+                rel.add((letters[a], letters[b]))
+        got = has_cycle(frozenset(rel))
+        assert got == reference_has_cycle(rel), (kind, sorted(rel))
+        kinds[kind, got] += 1
+    assert kinds["path", False] > 250 and kinds["closed", True] > 250, kinds
+    assert kinds["random", True] > 50 and kinds["random", False] > 50, kinds
+
+
 def test_classify_class0():
     C = from_topology_automaton(build_topology_automaton(SQUARE_VSEP_5))
     assert not C.PV

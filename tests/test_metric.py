@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from carpetauto.automaton import (
     random_word,
     surviving_time,
 )
+from carpetauto.carpet import CarpetSpec
 from carpetauto.cli import random_carpet
 from carpetauto.metric import (
     AsymmetricAutomaton,
@@ -80,6 +82,29 @@ def test_holder_scale_of_ratio_carpet():
     )
     assert scale.xi == pytest.approx(0.25**scale.s)
     assert 0 < scale.xi < 1
+
+
+def reference_holder_scale(spec) -> HolderScale:
+    """The scale as holder_scale computed it from all n + m ratios."""
+    ratios = spec.horizontal_ratios() + spec.vertical_ratios()
+    r_star, r_sub = max(ratios), min(ratios)
+    s = math.sqrt(math.log(r_star) / math.log(r_sub))
+    return HolderScale(r_star, r_sub, s, float(r_sub) ** s)
+
+
+def test_holder_scale_is_the_scale_of_all_n_plus_m_ratios():
+    rng = random.Random(22)
+    axes_with_ratios = Counter()
+    for spec in (*PROJECTION_CARPETS, *(random_carpet(rng, max_div=9) for _ in range(800))):
+        ratios = {}
+        for name, count in (("hratios", spec.n), ("vratios", spec.m)):
+            if spec.is_uniform() and rng.random() < 0.5:
+                weights = [rng.randint(1, 4) for _ in range(count)]
+                ratios[name] = [Fraction(w, sum(weights)) for w in weights]
+        spec = CarpetSpec(spec.n, spec.m, spec.digits, **ratios) if ratios else spec
+        axes_with_ratios[(spec.hratios is not None) + (spec.vratios is not None)] += 1
+        assert holder_scale(spec) == reference_holder_scale(spec), spec
+    assert min(axes_with_ratios[k] for k in (0, 1, 2)) >= 150, axes_with_ratios
 
 
 def test_rho_values():

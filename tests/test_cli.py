@@ -581,7 +581,6 @@ def test_console_script_entry_point(carpet_file):
     assert json.loads(proc.stdout)["class"]["kind"] == "Class1"
 
 
-
 def test_out_to_a_missing_directory_or_to_a_directory_is_an_input_error(carpet_file, tmp_path,
                                                                         capsys):
     missing = str(tmp_path / "nowhere" / "x")
@@ -610,6 +609,7 @@ def test_the_cli_loads_no_numpy(carpet_file):
                 if line.startswith("import time:")]
     assert "carpetauto.cli" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
 
 json_leaf = st.one_of(
     st.none(), st.booleans(), st.integers(-1, 6), st.floats(),

@@ -15,7 +15,9 @@ carpet the script prints, in ms, the best of REPEATS runs of each layer:
 - search: ``cross.decide_triple_coding_free`` of its cross automaton, the
   triple search that validates the chain's input (final_chain runs it too);
 - final_chain: ``simplify.final_chain`` of that cross automaton;
-- to_json: ``SimplificationChain.to_json`` of that chain.
+- to_json: ``SimplificationChain.to_json`` of that chain;
+- isometry: ``classify.decide_isometry`` of the carpet against itself, under
+  the ``build_letter_bijection`` certificate built once beforehand.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from carpetauto import geometry  # noqa: E402
 from carpetauto.automaton import build_topology_automaton  # noqa: E402
 from carpetauto.carpet import CarpetError, parse_carpet  # noqa: E402
+from carpetauto.classify import build_letter_bijection, decide_isometry  # noqa: E402
 from carpetauto.cross import decide_triple_coding_free, from_topology_automaton  # noqa: E402
 from carpetauto.simplify import final_chain  # noqa: E402
 
 FAMILY_SIZE = 3
 REPEATS = 5
-LAYERS = ("parse", "index", "oracle", "build", "search", "final_chain", "to_json")
+LAYERS = ("parse", "index", "oracle", "build", "search", "final_chain", "to_json", "isometry")
 
 
 def family(count: int = FAMILY_SIZE) -> list:
@@ -80,6 +83,8 @@ def layer_times(specs, repeats: int = REPEATS) -> list[dict]:
         row["search"], _ = best(lambda: decide_triple_coding_free(C), repeats)
         row["final_chain"], chain = best(lambda: final_chain(C), repeats)
         row["to_json"], _ = best(chain.to_json, repeats)
+        bij = build_letter_bijection(spec, spec)
+        row["isometry"], _ = best(lambda: decide_isometry(spec, spec, bij), repeats)
         rows.append(row)
     return rows
 

@@ -23,7 +23,7 @@ from .carpet import (
     parse_carpet,
     profile,
 )
-from .classify import build_letter_bijection, decide_equivalence, isometry_check
+from .classify import build_letter_bijection, decide_equivalence, decide_isometry
 from .cross import CrossAutomaton, classify, from_topology_automaton
 from .geometry import build_oracle, render_svg
 from .gmap import GContext, OmegaWord, g_apply, h_apply
@@ -48,6 +48,7 @@ __all__ = [
     "check_conditions",
     "classify",
     "decide_equivalence",
+    "decide_isometry",
     "final_chain",
     "from_topology_automaton",
     "g_apply",
@@ -55,7 +56,6 @@ __all__ = [
     "h_blocks",
     "holder_scale",
     "is_infinite",
-    "isometry_check",
     "one_step",
     "parse_carpet",
     "parse_word",

@@ -12,10 +12,10 @@ relations, making the final simplified automata isometric.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .automaton import build_topology_automaton, surviving_time
+from .automaton import EXIT, ID, build_topology_automaton, explore
 from .carpet import CarpetSpec, block_scan, check_conditions, profile
 from .cross import CrossAutomaton, DiagonalStatePresent, from_topology_automaton
 from .errors import InternalError
@@ -34,12 +34,6 @@ class LetterBijection:
 
     def __call__(self, letter: int) -> int:
         return self.mapping[letter]
-
-    def apply_word(self, w: PeriodicWord) -> PeriodicWord:
-        return PeriodicWord(
-            tuple(self.mapping[a] for a in w.preperiod),
-            tuple(self.mapping[a] for a in w.period),
-        )
 
     def to_dict(self):
         return {
@@ -204,18 +198,25 @@ def final_automaton(spec: CarpetSpec):
     return final_chain(C).final.induced_automaton()
 
 
-def isometry_check(E: CarpetSpec, F: CarpetSpec, bij: LetterBijection, pairs):
-    """Mismatches of surviving times between the two final automata.
+def decide_isometry(E: CarpetSpec, F: CarpetSpec, bij: LetterBijection):
+    """Decide T_E(x, y) == T_F(bij x, bij y) for all words, on the final automata.
 
-    Each sampled pair (x, y) of E-words is compared with its letterwise
-    image in F; the expected report is empty.
-    """
-    me = final_automaton(E)
-    mf = final_automaton(F)
-    mismatches = []
-    for x, y in pairs:
-        te = surviving_time(me, x, y)
-        tf = surviving_time(mf, bij.apply_word(x), bij.apply_word(y))
-        if te != tf:
-            mismatches.append((x, y, te, tf))
-    return mismatches
+    `explore` runs E on (i, j) and F on (bij i, bij j) from (Id, Id) over the sorted
+    pairs on which a side survives (any other exits both).  Returns (True, None) or
+    (False, (x, y)): a shortest path to a state with one Exit, then the letter 1 forever."""
+    m, N = bij.mapping, len(E.digits)
+    if len(F.digits) != N or not sorted(m) == sorted(m.values()) == list(range(1, N + 1)):
+        raise ValueError("the letter map is no bijection of E's letters onto F's")
+    rows = defaultdict(dict)  # (side, state) -> {(i, j) in E's letters: next state}
+    for side, X, to_e in ((0, E, {a: a for a in m}), (1, F, {b: a for a, b in m.items()})):
+        for (s, i, j), t in final_automaton(X).delta.items():
+            rows[side, s][to_e[i], to_e[j]] = t
+
+    def moves(state):  # a final automaton's table holds no Exit entry
+        a, b = rows[0, state[0]], rows[1, state[1]]
+        return [(p, (a.get(p, EXIT), b.get(p, EXIT))) for p in sorted(a.keys() | b.keys())]
+
+    found = explore((ID, ID), moves, lambda state: EXIT in state, lasso=False)
+    if found is None:
+        return True, None
+    return False, tuple(PeriodicWord(w, (1,)) for w in zip(*found[0]))

@@ -65,6 +65,7 @@ if TYPE_CHECKING:
     from .words import PeriodicWord
 
 OFFSETS = tuple((bx, by) for by in (-1, 0, 1) for bx in (-1, 0, 1))
+RECT_CAP = 10**6  # the most rectangles `cylinder_rects` builds
 
 # b -> the offsets b' that agree with b wherever b is nonzero: the only
 # moves b -> b' whose difference b' - (n*bx, m*by) can be a digit
@@ -108,9 +109,6 @@ def offset_successors(spec, b):
 class IntersectionOracle:
     """Survivor set of the nine unit offsets for one digit set."""
 
-    n: int
-    m: int
-    digits: tuple[tuple[int, int], ...]
     survivors: frozenset[tuple[int, int]]
 
     def intersects(self, b) -> bool:
@@ -135,7 +133,7 @@ def build_oracle(spec: "CarpetSpec", index: dict | None = None) -> IntersectionO
     alive = infinite_core(OFFSETS, successors.__getitem__)
     if (0, 0) not in alive or any((-b[0], -b[1]) not in alive for b in alive):
         raise InternalError("the surviving offsets must hold 0 and be closed under negation")
-    return IntersectionOracle(spec.n, spec.m, spec.digits, frozenset(alive))
+    return IntersectionOracle(frozenset(alive))
 
 
 def chain_survivors(spec) -> frozenset:
@@ -230,18 +228,18 @@ def _scaled(ratios):
     return D, widths, lefts, max(widths) / D
 
 
-def cylinder_rects(spec: "CarpetSpec", depth: int, cap: int = 10**6):
+def cylinder_rects(spec: "CarpetSpec", depth: int):
     """All depth-k cylinder rectangles as (x, y, w, h) Fractions, y-up.
 
-    A depth beyond cap.bit_length() is refused before any power is
-    taken: with two or more digits it yields more than cap rectangles.
+    A depth beyond RECT_CAP.bit_length() is refused before any power is
+    taken: with two or more digits it yields more than RECT_CAP rectangles.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if depth > cap.bit_length():
-        raise ValueError(f"depth {depth} exceeds {cap.bit_length()}, the deepest a cap of {cap} allows")
-    if len(spec.digits) ** depth > cap:
-        raise ValueError(f"{len(spec.digits)}^{depth} rectangles exceed cap {cap}")
+    if depth > (deepest := RECT_CAP.bit_length()):
+        raise ValueError(f"depth {depth} exceeds {deepest}, the deepest a cap of {RECT_CAP} allows")
+    if len(spec.digits) ** depth > RECT_CAP:
+        raise ValueError(f"{len(spec.digits)}^{depth} rectangles exceed cap {RECT_CAP}")
     hr = spec.horizontal_ratios()
     vr = spec.vertical_ratios()
     hleft = tuple(itertools.accumulate(hr[:-1], initial=Fraction(0)))

@@ -1,19 +1,24 @@
 import json
 import random
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from carpetauto.automaton import random_word
+from carpetauto.automaton import EXIT, ID, random_word, surviving_time
 from carpetauto.carpet import CarpetSpec, block_scan, h_blocks, parse_carpet, profile, row_pairs
 from carpetauto.classify import (
+    LetterBijection,
     _split_blocks,
     build_letter_bijection,
     decide_equivalence,
+    decide_isometry,
     final_automaton,
-    isometry_check,
 )
+from carpetauto.cli import random_carpet
+from carpetauto.words import PeriodicWord
 
 from conftest import SQUARE_TOP_5, SQUARE_VSEP_5, TOP_ISOLATED_11, VSEP_11
 
@@ -24,14 +29,6 @@ def test_bijection_between_the_square_fixtures():
     assert sorted(bij.mapping.values()) == [1, 2, 3, 4, 5]
     # the full rows map to each other letterwise
     assert [bij(k) for k in (2, 3, 4)] == [1, 2, 3]
-
-
-def test_bijection_word_images():
-    bij = build_letter_bijection(SQUARE_VSEP_5, SQUARE_TOP_5)
-    from carpetauto.words import parse_word
-
-    w = parse_word("2.3(4)")
-    assert bij.apply_word(w) == parse_word("1.2(3)")
 
 
 def test_bijection_dict_is_serializable():
@@ -90,18 +87,107 @@ def test_inconclusive_never_claims_nonequivalence():
     assert {r["name"] for r in data["hypotheses"]}
 
 
+def reference_isometry_mismatches(E, F, bij, pairs):
+    """The sampled check `decide_isometry` replaced: the pairs (x, y) of
+    E-words whose surviving time differs from that of their letterwise image."""
+    me = final_automaton(E)
+    mf = final_automaton(F)
+
+    def image(w):
+        return PeriodicWord(tuple(bij(a) for a in w.preperiod), tuple(bij(a) for a in w.period))
+
+    mismatches = []
+    for x, y in pairs:
+        te = surviving_time(me, x, y)
+        tf = surviving_time(mf, image(x), image(y))
+        if te != tf:
+            mismatches.append((x, y, te, tf))
+    return mismatches
+
+
+def dense_isometry_witness(E, F, bij):
+    """A breadth-first search of the two final automata over all N^2 letter
+    pairs in sorted order: the word pair of the first path to a state with
+    exactly one Exit, then the letter 1 forever, or None."""
+    me, mf = final_automaton(E), final_automaton(F)
+    parent = {(ID, ID): None}
+    queue = deque(parent)
+    while queue:
+        state = queue.popleft()
+        for i in me.letters():
+            for j in me.letters():
+                nxt = (me.step(state[0], i, j), mf.step(state[1], bij(i), bij(j)))
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, (i, j))
+                if nxt.count(EXIT) == 1:
+                    path = []
+                    while parent[nxt] is not None:
+                        nxt, move = parent[nxt]
+                        path.append(move)
+                    path.reverse()
+                    return tuple(PeriodicWord(tuple(p[r] for p in path), (1,)) for r in (0, 1))
+                queue.append(nxt)
+    return None
+
+
 def test_final_automata_are_isometric_under_the_bijection():
     bij = build_letter_bijection(SQUARE_VSEP_5, SQUARE_TOP_5)
     rng = random.Random(41)
     pairs = [(random_word(rng, 5), random_word(rng, 5)) for _ in range(150)]
-    assert isometry_check(SQUARE_VSEP_5, SQUARE_TOP_5, bij, pairs) == []
+    assert reference_isometry_mismatches(SQUARE_VSEP_5, SQUARE_TOP_5, bij, pairs) == []
+    assert decide_isometry(SQUARE_VSEP_5, SQUARE_TOP_5, bij) == (True, None)
 
 
 def test_final_automata_of_holder_pair_are_isometric():
     bij = build_letter_bijection(TOP_ISOLATED_11, VSEP_11)
     rng = random.Random(43)
     pairs = [(random_word(rng, 11), random_word(rng, 11)) for _ in range(100)]
-    assert isometry_check(TOP_ISOLATED_11, VSEP_11, bij, pairs) == []
+    assert reference_isometry_mismatches(TOP_ISOLATED_11, VSEP_11, bij, pairs) == []
+    assert decide_isometry(TOP_ISOLATED_11, VSEP_11, bij) == (True, None)
+
+
+@pytest.fixture(scope="module")
+def certified_pairs():
+    """(E, F, certificate) for every unordered pair of equal n among 300
+    seeded random carpets to which `decide_equivalence` gives a certificate."""
+    rng = random.Random(5)
+    specs = [random_carpet(rng) for _ in range(300)]
+    found = []
+    for E, F in combinations(specs, 2):
+        if E.n == F.n and (bij := decide_equivalence(E, F).certificate) is not None:
+            found.append((E, F, bij))
+    return found
+
+
+def test_every_certified_pair_of_a_seeded_family_is_isometric(certified_pairs):
+    assert len(certified_pairs) >= 100
+    for E, F, bij in certified_pairs:
+        assert decide_isometry(E, F, bij) == (True, None), (E, F)
+
+
+def test_a_broken_bijection_gives_the_dense_search_witness(certified_pairs):
+    witnesses = 0
+    for E, F in [(E, F) for E, F, _ in certified_pairs] + [(F, E) for E, F, _ in certified_pairs]:
+        mapping = dict(decide_equivalence(E, F).certificate.mapping)
+        last = len(mapping)
+        mapping[1], mapping[last] = mapping[last], mapping[1]
+        bij = LetterBijection(mapping, ())
+        isometric, witness = decide_isometry(E, F, bij)
+        assert witness == dense_isometry_witness(E, F, bij), (E, F)
+        if not isometric:
+            witnesses += 1
+            assert len(reference_isometry_mismatches(E, F, bij, [witness])) == 1  # times differ
+    assert witnesses >= 10
+
+
+def test_decide_isometry_refuses_a_map_that_is_no_bijection():
+    identity = {a: a for a in range(1, 6)}
+    for mapping, F in (({**identity, 2: 1}, SQUARE_TOP_5),  # 1 twice, 2 never
+                       ({**identity, 6: 6}, SQUARE_TOP_5),  # a letter E lacks
+                       (identity, TOP_ISOLATED_11)):  # onto 5 of F's 11 letters
+        with pytest.raises(ValueError, match="no bijection"):
+            decide_isometry(SQUARE_VSEP_5, F, LetterBijection(mapping, ()))
 
 
 def test_final_automaton_has_no_vertical_entries():

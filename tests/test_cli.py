@@ -595,6 +595,15 @@ def test_out_to_a_missing_directory_or_to_a_directory_is_an_input_error(carpet_f
     assert "Traceback" not in proc.stderr
 
 
+def test_a_file_that_is_not_utf8_is_named_in_the_error(carpet_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff" + SQUARE_TOP_5.to_grid().encode())
+    assert run(["equiv", carpet_file, str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec") and err.count("\n") == 1, err
+    assert carpet_file not in err
+
+
 def test_the_cli_loads_no_numpy(carpet_file):
     """numpy is an optional extra that only fastsim needs: a fresh
     interpreter that imports the CLI, or runs analyze, loads none of it."""

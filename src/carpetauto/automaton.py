@@ -182,6 +182,16 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
     the oracle reads, so the carpet itself is passed.  Transitions are
     read only from states reached from Id, in one breadth-first pass, so
     states unreachable from Id never enter the table.
+
+    The automaton is made without running the `SigmaAutomaton` checks,
+    as `gmap._apply` makes its words, since each holds by construction:
+
+    - `CarpetSpec` holds 1 to 255 distinct digits, each a pair of
+      integers, and the letters are their positions 1..N;
+    - the Id self-loops are exactly the pairs of `index[(0, 0)]`, the
+      diagonal (i, i) by distinct digits, and no other entry targets Id,
+      which is not among the targets;
+    - every source and target is in `reached`, and Exit is neither.
     """
     from .geometry import MOVES, build_oracle, difference_index
 
@@ -201,7 +211,11 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
                 delta[(s, i, j)] = v
             if pairs and v not in reached:
                 reached.append(v)
-    return SigmaAutomaton(len(spec.digits), frozenset({*reached, EXIT}), delta)
+    M = object.__new__(SigmaAutomaton)
+    object.__setattr__(M, "alphabet_size", len(spec.digits))
+    object.__setattr__(M, "states", frozenset({*reached, EXIT}))
+    object.__setattr__(M, "delta", delta)
+    return M
 
 
 def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):

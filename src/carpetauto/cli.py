@@ -12,8 +12,10 @@ carpets only.
 
 Exit codes: 0 success (any verdict), 1 selftest failure, 2 usage error,
 3 bad input (any ValueError, which every parser and constructor raises
-for a malformed or oversized input), 4 internal error (a check of the
-program's own invariants failed; a fault in the program, not the input).
+for a malformed or oversized input, and output that cannot be written:
+an --out file, or a standard output whose reader has closed it), 4
+internal error (a check of the program's own invariants failed; a fault
+in the program, not the input).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -91,13 +94,30 @@ def _sigma(source: CarpetSpec | CrossAutomaton | SigmaAutomaton) -> SigmaAutomat
 
 def _emit(text: str, out: str | None):
     if not out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as e:  # the reader closed the pipe
+            _discard_stdout()
+            raise InputError(f"cannot write standard output: {e}") from e
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as e:
         raise InputError(f"cannot write {out}: {e}") from e
+
+
+def _discard_stdout():
+    """Point the standard output's descriptor at os.devnull, so that the
+    flush at exit drops what the closed pipe did not take and raises no
+    second error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # no descriptor (io.UnsupportedOperation is a ValueError)
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_analyze(args):
@@ -139,7 +159,7 @@ def cmd_simplify(args):
         C = source
     else:
         C = cross_mod.from_topology_automaton(_sigma(source))
-    chain = final_chain(C)
+    chain = final_chain(C, validate_stages=not isinstance(source, CarpetSpec))
     _emit(chain.to_json(), args.out)
     return 0
 

@@ -132,6 +132,12 @@ def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> Simplificati
     a subset of a partial matching is one, and deleting transitions only
     shortens surviving times, so a triple coding of a stage is a triple
     coding of the input too.
+
+    Pass False for the cross automaton of a carpet's topology automaton,
+    as `simplify` on a carpet and `classify.final_automaton` do: it has no
+    triple coding by construction, so only the matchings are checked
+    (proof in docs/carpet_cross_axioms.md).  Cross or sigma automaton JSON
+    is outside input and keeps the default.
     """
     cls = classify(C)
     if cls.kind == "Class0":

@@ -74,6 +74,19 @@ def test_topology_automaton_of_square_fixture():
     assert M.step(ID, 2, 1) == (-1, 0)
 
 
+def test_the_build_runs_no_constructor_check(monkeypatch):
+    """The carpet's table meets every SigmaAutomaton check by construction,
+    so build_topology_automaton never runs them again."""
+    runs = []
+    post_init = SigmaAutomaton.__post_init__
+    monkeypatch.setattr(SigmaAutomaton, "__post_init__",
+                        lambda self: runs.append(self) or post_init(self))
+    M = build_topology_automaton(TOP_ISOLATED_11)
+    assert len(M.delta) > M.alphabet_size and runs == []
+    assert SigmaAutomaton(M.alphabet_size, M.states, M.delta) == M
+    assert len(runs) == 1
+
+
 def test_unreachable_states_are_pruned():
     # .#/../.#: the oracle keeps ±e2, but no letter pair leads Id to them
     unreached = CarpetSpec(2, 3, ((1, 0), (1, 2)))

@@ -289,8 +289,12 @@ def test_internal_error_exits_4_without_a_traceback(carpet_file, tmp_path, monke
     def broken(*args, **kwargs):
         raise InternalError("invariant broken")
 
+    # a carpet's own cross automaton is not searched: inject through its JSON
+    path = tmp_path / "cross.json"
+    path.write_text(cross.from_topology_automaton(automaton.build_topology_automaton(
+        SQUARE_TOP_5)).to_json())
     monkeypatch.setattr(cross, "decide_triple_coding_free", broken)
-    assert run(["simplify", carpet_file]) == 4
+    assert run(["simplify", str(path)]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: invariant broken\n"
     # a letter bijection that breaks adjacency preservation is internal too
@@ -347,12 +351,24 @@ def test_simplify_classifies_the_input_once(tmp_path, monkeypatch, capsys):
 
 
 def test_simplify_decides_triple_coding_once_per_chain(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "chain2.txt"
-    path.write_text(CHAIN2_CARPET.to_grid())
-    calls = spy(monkeypatch, cross, "decide_triple_coding_free")
-    assert run(["simplify", str(path)]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == 2
-    assert len(calls) == 1
+    """Once for cross or sigma automaton JSON; never for a carpet, whose
+    cross automaton has no triple coding (docs/carpet_cross_axioms.md)."""
+    grid = tmp_path / "chain2.txt"
+    grid.write_text(CHAIN2_CARPET.to_grid())
+    C = cross.from_topology_automaton(automaton.build_topology_automaton(CHAIN2_CARPET))
+    cross_json = tmp_path / "chain2-cross.json"
+    cross_json.write_text(C.to_json())
+    sigma_json = tmp_path / "chain2-sigma.json"
+    assert run(["automaton", str(grid), "--out", str(sigma_json)]) == 0
+    reports = set()
+    for path, searches in ((grid, 0), (cross_json, 1), (sigma_json, 1)):
+        with monkeypatch.context() as patch:
+            calls = spy(patch, cross, "decide_triple_coding_free")
+            assert run(["simplify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)) == 2 and len(calls) == searches, path.name
+        reports.add(out)
+    assert len(reports) == 1
 
 
 def test_simplify_rejects_a_triple_coding_the_first_deletion_would_hide(tmp_path, capsys):
@@ -364,6 +380,17 @@ def test_simplify_rejects_a_triple_coding_the_first_deletion_would_hide(tmp_path
     ))
     assert run(["simplify", str(path)]) == 3
     assert "triple coding present" in capsys.readouterr().err
+
+
+def test_simplify_rejects_extended_9_as_cross_and_as_sigma_json(cross_file, tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    assert run(["automaton", cross_file, "--out", str(sigma)]) == 0
+    witness = ("witness (PeriodicWord(preperiod=(1,), period=(5,)), "
+               "PeriodicWord(preperiod=(1, 9), period=(1,)), "
+               "PeriodicWord(preperiod=(2,), period=(1,)))")
+    for path in (cross_file, str(sigma)):
+        assert run(["simplify", path]) == 3
+        assert capsys.readouterr().err == f"error: triple coding present, {witness}\n", path
 
 
 def test_survive_walks_the_itinerary_once(carpet_file, monkeypatch, capsys):
@@ -593,6 +620,36 @@ def test_out_to_a_missing_directory_or_to_a_directory_is_an_input_error(carpet_f
                            "--out", str(tmp_path)], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 3 and proc.stderr.startswith("error: cannot write")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_is_an_input_error(carpet_file, buffered):
+    """The reader closes the pipe before the child writes: like an
+    unwritable --out, one error line and exit 3, also from the flush at
+    exit of a buffered stdout."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["analyze", carpet_file], ["simplify", carpet_file],
+                 ["automaton", carpet_file, "--format", "dot"]):
+        proc = subprocess.Popen([sys.executable, "-m", "carpetauto", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 3, (argv, err)
+        assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1, err
+
+
+def test_a_stdout_that_refuses_writes_is_an_input_error(carpet_file, monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["analyze", carpet_file]) == 3
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 def test_a_file_that_is_not_utf8_is_named_in_the_error(carpet_file, tmp_path, capsys):

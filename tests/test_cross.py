@@ -12,6 +12,7 @@ from carpetauto.automaton import (
     build_topology_automaton,
     is_infinite,
     mirror_check,
+    search_triples,
     successor_index,
     surviving_time,
 )
@@ -30,6 +31,7 @@ from carpetauto.cross import (
     validate,
 )
 from carpetauto.carpet import CarpetSpec, parse_carpet
+from carpetauto.cli import random_carpet
 from carpetauto.words import PeriodicWord
 
 from conftest import (
@@ -184,6 +186,32 @@ def test_extended_9_has_a_triple_coding():
     assert len({x, y, z}) == 3
     with pytest.raises(CrossAutomatonError):
         validate(EXTENDED_9)
+
+
+def test_a_carpets_cross_automaton_satisfies_the_axioms_by_construction():
+    """docs/carpet_cross_axioms.md: a carpet whose topology automaton
+    reaches no diagonal state has a cross automaton with matchings for
+    relations and no triple coding, so `final_chain` on it needs no
+    triple search.  The diagonal carpets show the search finds codings
+    in topology automata, so the test is not vacuous."""
+    rng = random.Random(1)
+    sizes = list(itertools.product((3, 4, 5, 6, 8), (8, 12, 20, 30)))
+    seen = Counter()
+    for k in range(4000):
+        max_div, max_digits = sizes[k % len(sizes)]
+        spec = random_carpet(rng, max_div=max_div, max_digits=max_digits)
+        M = build_topology_automaton(spec)
+        try:
+            C = from_topology_automaton(M)
+        except DiagonalStatePresent:
+            coded = not search_triples(M.delta, lambda js: ID not in js, lasso=True)[0]
+            seen["diagonal coded" if coded else "diagonal free"] += 1
+            continue
+        assert C.transition_table() == M.delta, spec
+        assert check_uniqueness(C) == [], spec
+        assert decide_triple_coding_free(C) == (True, None), spec
+        seen["cross"] += 1
+    assert seen["cross"] >= 2000 and seen["diagonal coded"] >= 1000, seen
 
 
 def test_triple_coding_decision_matches_word_enumeration():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carpetauto.automaton import EXIT, ID, build_topology_automaton, random_word
+from carpetauto.automaton import EXIT, ID, SigmaAutomaton, build_topology_automaton, random_word
 from carpetauto.carpet import CarpetSpec
 from carpetauto.geometry import (
     MOVES,
@@ -177,6 +177,7 @@ def test_the_filtered_index_keeps_every_read_pair_and_the_same_automaton():
         delta, states = reference_delta(spec)
         assert list(M.delta.items()) == list(delta.items()), spec
         assert M.states == states
+        assert SigmaAutomaton(M.alphabet_size, M.states, M.delta) == M, spec
         seen["n2"] += spec.n == 2
         seen["m2"] += spec.m == 2
         seen["dropped"] += len(full) > len(index)

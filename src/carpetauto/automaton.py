@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .words import PeriodicWord
@@ -125,24 +125,23 @@ def successor_index(delta: dict) -> dict:
     return index
 
 
-@dataclass(frozen=True)
-class SigmaAutomaton:
-    """Deterministic automaton over the pair alphabet of {1..N}."""
+class SigmaAutomaton(namedtuple("SigmaAutomaton", "alphabet_size states delta")):
+    """Deterministic automaton over the pair alphabet of {1..N}.
 
-    alphabet_size: int
-    states: frozenset
-    delta: dict = field(hash=False)
+    The hash leaves out the transition table, a dict; equality reads it."""
 
-    def __post_init__(self):
-        N = self.alphabet_size
+    __slots__ = ()
+
+    def __new__(cls, alphabet_size, states, delta):
+        N = alphabet_size
         if N < 1:
             raise AutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise AutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
-        if ID not in self.states or EXIT not in self.states:
+        if ID not in states or EXIT not in states:
             raise AutomatonError("the states must include Id and Exit")
-        for (s, i, j), t in self.delta.items():
-            if s == EXIT or s not in self.states or t not in self.states:
+        for (s, i, j), t in delta.items():
+            if s == EXIT or s not in states or t not in states:
                 raise AutomatonError(f"transition ({_shown_state(s)}, {i}, {j}) -> "
                                      f"{_shown_state(t)} leaves the state set")
             if not type(i) is type(j) is int:  # a bool, 1.5 or '3' is no letter
@@ -151,11 +150,15 @@ class SigmaAutomaton:
             if not (1 <= i <= N and 1 <= j <= N):
                 raise AutomatonError(
                     f"letter outside 1..{N} in transition ({_shown_state(s)}, {i}, {j})")
-        bad = [(i, j) for (s, i, j), t in self.delta.items() if s == ID and t == ID and i != j]
-        bad += [(i, i) for i in self.letters() if self.delta.get((ID, i, i)) != ID]
+        bad = [(i, j) for (s, i, j), t in delta.items() if s == ID and t == ID and i != j]
+        bad += [(i, i) for i in range(1, N + 1) if delta.get((ID, i, i)) != ID]
         if bad:
             i, j = min(bad)
             raise AutomatonError(f"delta(Id,({i},{j})) must be Id exactly when i == j")
+        return super().__new__(cls, alphabet_size, states, delta)
+
+    def __hash__(self):
+        return hash((self.alphabet_size, self.states))
 
     def step(self, state, i: int, j: int):
         if state == EXIT:
@@ -183,8 +186,9 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
     read only from states reached from Id, in one breadth-first pass, so
     states unreachable from Id never enter the table.
 
-    The automaton is made without running the `SigmaAutomaton` checks,
-    as `gmap._apply` makes its words, since each holds by construction:
+    The automaton is made with `SigmaAutomaton._make`, which skips the
+    checks of `SigmaAutomaton.__new__`, as `gmap._apply` makes its words,
+    since each holds by construction:
 
     - `CarpetSpec` holds 1 to 255 distinct digits, each a pair of
       integers, and the letters are their positions 1..N;
@@ -211,11 +215,7 @@ def build_topology_automaton(spec) -> SigmaAutomaton:
                 delta[(s, i, j)] = v
             if pairs and v not in reached:
                 reached.append(v)
-    M = object.__new__(SigmaAutomaton)
-    object.__setattr__(M, "alphabet_size", len(spec.digits))
-    object.__setattr__(M, "states", frozenset({*reached, EXIT}))
-    object.__setattr__(M, "delta", delta)
-    return M
+    return SigmaAutomaton._make((len(spec.digits), frozenset({*reached, EXIT}), delta))
 
 
 def surviving_time(M: SigmaAutomaton, x: PeriodicWord, y: PeriodicWord):

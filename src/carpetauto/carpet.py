@@ -10,8 +10,9 @@ alphabet refer to digits in that order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .automaton import (
     EXIT,
@@ -30,20 +31,18 @@ class CarpetError(ValueError):
     """Malformed carpet definition."""
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
-    n: int
-    m: int
-    digits: tuple[tuple[int, int], ...]
-    hratios: tuple[Fraction, ...] | None = None
-    vratios: tuple[Fraction, ...] | None = None
+class CarpetSpec(namedtuple("CarpetSpec", "n m digits hratios vratios")):
+    """n x m division counts, the digits as (column, row) pairs of ints, and
+    the column (hratios) and row (vratios) ratios as Fractions, or None."""
 
-    def __post_init__(self):
-        if self.n < 2 or self.m < 2:
+    __slots__ = ()
+
+    def __new__(cls, n, m, digits, hratios=None, vratios=None):
+        if n < 2 or m < 2:
             raise CarpetError("division counts must be at least 2")
-        if max(self.n, self.m) > MAX_LETTER:
+        if max(n, m) > MAX_LETTER:
             raise CarpetError(f"division counts must be at most {MAX_LETTER}")
-        digits = tuple((a, b) for a, b in self.digits)
+        digits = tuple((a, b) for a, b in digits)
         for a, b in digits:  # a bool, 0.7 or '3' is no digit; sorting would compare '3' with 1
             if not type(a) is type(b) is int:
                 raise CarpetError(f"digit {(a, b)!r} is not a pair of integers")
@@ -55,23 +54,20 @@ class CarpetSpec:
         if len(set(digits)) != len(digits):
             raise CarpetError("duplicate digit")
         for d1, d2 in digits:
-            if not (0 <= d1 < self.n and 0 <= d2 < self.m):
-                raise CarpetError(f"digit {(d1, d2)} outside the {self.n}x{self.m} grid")
-        object.__setattr__(self, "digits", digits)
-        for name, ratios, count in (
-            ("hratios", self.hratios, self.n),
-            ("vratios", self.vratios, self.m),
-        ):
-            if ratios is None:
-                continue
-            ratios = tuple(Fraction(r) for r in ratios)
-            if len(ratios) != count:
-                raise CarpetError(f"{name} must have {count} entries")
-            if any(r <= 0 for r in ratios):
-                raise CarpetError(f"{name} entries must be positive")
-            if sum(ratios) != 1:
-                raise CarpetError(f"{name} must sum to exactly 1")
-            object.__setattr__(self, name, ratios)
+            if not (0 <= d1 < n and 0 <= d2 < m):
+                raise CarpetError(f"digit {(d1, d2)} outside the {n}x{m} grid")
+        checked = []
+        for name, ratios, count in (("hratios", hratios, n), ("vratios", vratios, m)):
+            if ratios is not None:
+                ratios = tuple(Fraction(r) for r in ratios)
+                if len(ratios) != count:
+                    raise CarpetError(f"{name} must have {count} entries")
+                if any(r <= 0 for r in ratios):
+                    raise CarpetError(f"{name} entries must be positive")
+                if sum(ratios) != 1:
+                    raise CarpetError(f"{name} must sum to exactly 1")
+            checked.append(ratios)
+        return super().__new__(cls, n, m, digits, *checked)
 
     @property
     def alphabet_size(self) -> int:
@@ -167,8 +163,7 @@ def digit_letter(spec: CarpetSpec, digit) -> int:
     return spec.digits.index(tuple(digit)) + 1
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     cross_intersection: bool
     vertical_separation: bool
     top_isolated: bool
@@ -201,8 +196,7 @@ def check_conditions(spec: CarpetSpec, M: SigmaAutomaton | None = None) -> Condi
     return ConditionReport(cross, vertical, top_isolated, top[0] if top_isolated else None)
 
 
-@dataclass(frozen=True)
-class HBlock:
+class HBlock(NamedTuple):
     row: int
     columns: tuple[int, ...]
     letters: tuple[int, ...]
@@ -240,8 +234,7 @@ def h_blocks(spec: CarpetSpec) -> list[HBlock]:
     return blocks
 
 
-@dataclass(frozen=True)
-class HBlockProfile:
+class HBlockProfile(NamedTuple):
     block_sizes: tuple[int, ...]  # sorted multiset
     pair_sizes: tuple[tuple[int, int], ...]  # sorted multiset of (left, right)
     fiber: tuple[int, ...]  # cylinder count per row, bottom first

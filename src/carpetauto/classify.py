@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import EXIT, ID, build_topology_automaton, explore
 from .carpet import CarpetSpec, block_scan, check_conditions, profile
@@ -27,8 +27,7 @@ class PreservationFailure(InternalError):
     """The constructed letter bijection fails adjacency preservation."""
 
 
-@dataclass(frozen=True)
-class LetterBijection:
+class LetterBijection(NamedTuple):
     mapping: dict
     block_matching: tuple  # pairs of (E-block, F-block)
 
@@ -102,8 +101,7 @@ def _verify_preservation(ce: CrossAutomaton, cf: CrossAutomaton, bij: LetterBije
             )
 
 
-@dataclass(frozen=True)
-class HypothesisRecord:
+class HypothesisRecord(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -112,8 +110,7 @@ class HypothesisRecord:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     status: str  # HolderEquivalent | LipschitzEquivalent | Inconclusive
     reasons: tuple[HypothesisRecord, ...]
     certificate: LetterBijection | None

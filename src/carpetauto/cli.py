@@ -238,7 +238,7 @@ def cmd_selftest(args):
     failures = []
 
     def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        _emit(f"{'PASS' if ok else 'FAIL'} {name}", None)
         if not ok:
             failures.append(name)
 
@@ -249,7 +249,7 @@ def cmd_selftest(args):
     if failures:
         print(f"{len(failures)} selftest failure(s)", file=sys.stderr)
         return 1
-    print("all selftests passed")
+    _emit("all selftests passed", None)
     return 0
 
 
@@ -287,7 +287,8 @@ def _selftest_feasibility(rng) -> bool:
         ok, witness = automaton_mod.decide_feasibility(build_topology_automaton(spec), 1)
         if not ok:
             x, y, z = witness
-            print(f"carpet\n{spec.to_grid()}\nviolates feasibility at t0 = 1 with x={x} y={y} z={z}")
+            _emit(f"carpet\n{spec.to_grid()}\n"
+                  f"violates feasibility at t0 = 1 with x={x} y={y} z={z}", None)
             return False
     return True
 

@@ -11,7 +11,8 @@ writes from it and `from_topology_automaton` reads through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .automaton import (
     EXIT,
@@ -52,38 +53,36 @@ def _json_pairs(pairs):
     return frozenset((json_int(i), json_int(j)) for i, j in pairs)
 
 
-@dataclass(frozen=True)
-class CrossAutomaton:
-    alphabet_size: int
-    PH: frozenset
-    PV: frozenset
-    Pe1: frozenset
-    Pe2: frozenset
+class CrossAutomaton(namedtuple("CrossAutomaton", "alphabet_size PH PV Pe1 Pe2")):
+    """The alphabet size N and the four relations, frozensets of letter pairs."""
 
-    def __post_init__(self):
-        for name in RELATION_MOVES:  # a frozenset argument is kept, not copied
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        N = self.alphabet_size
+    __slots__ = ()
+
+    def __new__(cls, alphabet_size, PH, PV, Pe1, Pe2):
+        # a frozenset argument is kept, not copied
+        PH, PV, Pe1, Pe2 = relations = [frozenset(r) for r in (PH, PV, Pe1, Pe2)]
+        N = alphabet_size
         if N < 1:
             raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
-        for name in RELATION_MOVES:
-            for i, j in getattr(self, name):
+        for name, rel in zip(RELATION_MOVES, relations):  # PH, PV, Pe1, Pe2
+            for i, j in rel:
                 if not type(i) is type(j) is int:  # a bool, 1.9 or '3' is no letter
                     raise CrossAutomatonError(f"non-integer letter in {name}: {(i, j)!r}")
                 if not (1 <= i <= N and 1 <= j <= N):
                     raise CrossAutomatonError(f"letter outside 1..{N} in {name}")
         # A reflexive entry pair is its own transpose, so every pair the
         # first and last checks look for lies in `mirrored`.
-        entry = self.PH | self.PV
+        entry = PH | PV
         mirrored = entry.intersection([(j, i) for i, j in entry])
         if any(i == j for i, j in mirrored):
             raise CrossAutomatonError("reflexive pair in an entry relation")
-        if not self.PH.isdisjoint(self.PV):
+        if not PH.isdisjoint(PV):
             raise CrossAutomatonError("PH and PV overlap")
         if mirrored:
             raise CrossAutomatonError("entry relations overlap their transposes")
+        return super().__new__(cls, alphabet_size, *relations)
 
     def relations(self):
         return {"H": self.PH, "V": self.PV, "e1": self.Pe1, "e2": self.Pe2}
@@ -212,8 +211,7 @@ def has_cycle(rel) -> bool:
     return bool(infinite_core(succ, succ.__getitem__))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # Class0 | Class1 | Class2 | Unclassified
     top: int | None = None
     bottom: int | None = None

@@ -53,9 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .automaton import infinite_core
 from .errors import InternalError
@@ -105,8 +104,7 @@ def offset_successors(spec, b):
     return out
 
 
-@dataclass(frozen=True)
-class IntersectionOracle:
+class IntersectionOracle(NamedTuple):
     """Survivor set of the nine unit offsets for one digit set."""
 
     survivors: frozenset[tuple[int, int]]

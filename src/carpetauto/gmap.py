@@ -25,41 +25,37 @@ one) unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import PeriodicWord, check_letters
 
 
-@dataclass(frozen=True)
-class GContext:
-    gamma: int
-    lam: int
-    kappa: int
-    tau: int
+class GContext(namedtuple("GContext", "gamma lam kappa tau")):
+    """The four special letters gamma, lambda, kappa and tau."""
 
-    def __post_init__(self):
-        check_letters((self.gamma, self.lam, self.kappa, self.tau), "a context")
-        if len({self.gamma, self.lam, self.kappa}) != 3:
+    __slots__ = ()
+
+    def __new__(cls, gamma, lam, kappa, tau):
+        check_letters((gamma, lam, kappa, tau), "a context")
+        if len({gamma, lam, kappa}) != 3:
             raise ValueError("gamma, lambda, kappa must be pairwise distinct")
-        if self.tau in (self.gamma, self.kappa):
+        if tau in (gamma, kappa):
             raise ValueError("tau must differ from gamma and kappa")
+        return super().__new__(cls, gamma, lam, kappa, tau)
 
 
-@dataclass(frozen=True, init=False)
-class OmegaWord:
+class OmegaWord(namedtuple("OmegaWord", "stem kappa")):
     """A word ``stem`` followed by kappa forever; stem never ends in kappa."""
 
-    stem: tuple[int, ...]
-    kappa: int
+    __slots__ = ()
 
-    def __init__(self, stem, kappa):
+    def __new__(cls, stem, kappa):
         stem = tuple(stem)
         check_letters(stem + (kappa,), "a word")
         n = len(stem)
         while n and stem[n - 1] == kappa:
             n -= 1
-        object.__setattr__(self, "stem", stem[:n])
-        object.__setattr__(self, "kappa", kappa)
+        return super().__new__(cls, stem[:n], kappa)
 
     def letter(self, k: int) -> int:
         if k < 1:
@@ -174,13 +170,13 @@ def _apply(ctx: GContext, x: OmegaWord, image: bool) -> OmegaWord:
     around it, and x itself when the stem has no such segment.  A gamma
     tail is refused.
 
-    The result is built without `OmegaWord.__init__`, because its checks
-    hold already.  Every letter comes from the checked stem or the checked
-    context.  The new stem does not end in the tail letter: if the last
-    segment has several letters, its image ends in gamma, which differs
-    from the tail letter because a gamma tail is refused; otherwise the
-    new stem ends in the old stem's last letter, which is not the tail
-    letter either.
+    The result is built with `OmegaWord._make`, which skips the checks of
+    `OmegaWord.__new__`, because they hold already.  Every letter comes
+    from the checked stem or the checked context.  The new stem does not
+    end in the tail letter: if the last segment has several letters, its
+    image ends in gamma, which differs from the tail letter because a
+    gamma tail is refused; otherwise the new stem ends in the old stem's
+    last letter, which is not the tail letter either.
     """
     multi = _word_segments(ctx, x, image)
     if not multi:
@@ -191,10 +187,7 @@ def _apply(ctx: GContext, x: OmegaWord, image: bool) -> OmegaWord:
     for start, end, img in multi:
         stem += s[last:start] + img
         last = end
-    y = object.__new__(OmegaWord)
-    object.__setattr__(y, "stem", stem + s[last:])
-    object.__setattr__(y, "kappa", x.kappa)
-    return y
+    return OmegaWord._make((stem + s[last:], x.kappa))
 
 
 def g_apply(ctx: GContext, x: OmegaWord) -> OmegaWord:

@@ -9,8 +9,9 @@ onto the attractor bi-Hölder of index s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .automaton import SigmaAutomaton, is_infinite, mirror_check, search_triples, surviving_time
 from .geometry import projector
@@ -25,24 +26,23 @@ class AsymmetricAutomaton(ValueError):
     """The automaton is not mirror-symmetric, so its T is not symmetric."""
 
 
-@dataclass(frozen=True)
-class HolderScale:
-    r_star: Fraction  # largest contraction ratio
-    r_sub: Fraction  # smallest contraction ratio
-    s: float
-    xi: float
+class HolderScale(namedtuple("HolderScale", "r_star r_sub s xi")):
+    """The largest and smallest contraction ratios (Fractions), the
+    exponent s and the scale xi (floats)."""
 
-    def __post_init__(self):
-        if not 0 < self.r_sub <= self.r_star < 1:
+    __slots__ = ()
+
+    def __new__(cls, r_star, r_sub, s, xi):
+        if not 0 < r_sub <= r_star < 1:
             raise ValueError(
-                f"ratios must satisfy 0 < r_sub <= r_star < 1, got {self.r_sub} and {self.r_star}"
+                f"ratios must satisfy 0 < r_sub <= r_star < 1, got {r_sub} and {r_star}"
             )
-        if not 0 < self.s <= 1 + 1e-12:
-            raise ValueError(f"exponent s must lie in (0, 1], got {self.s}")
+        if not 0 < s <= 1 + 1e-12:
+            raise ValueError(f"exponent s must lie in (0, 1], got {s}")
+        return super().__new__(cls, r_star, r_sub, s, xi)
 
 
-@dataclass(frozen=True)
-class PseudoDistance:
+class PseudoDistance(NamedTuple):
     value: float
     time: object  # surviving time: int or INFINITE
 
@@ -72,8 +72,7 @@ def _proj_depth(r_star: float) -> int:
     return depth
 
 
-@dataclass(frozen=True)
-class ProjectionRecord:
+class ProjectionRecord(NamedTuple):
     time: object
     rho: float
     euclidean: float
@@ -88,8 +87,7 @@ class ProjectionRecord:
         }
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     records: tuple[ProjectionRecord, ...]
     fitted_lower_c: float | None
     violations: int

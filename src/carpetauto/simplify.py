@@ -7,8 +7,7 @@ Iterating empties PV and ends in a Class-0 automaton.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cross import (
     Classification,
@@ -25,8 +24,7 @@ class NotClass2(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SimplificationStep:
+class SimplificationStep(NamedTuple):
     before: CrossAutomaton
     after: CrossAutomaton
     deleted: tuple[int, int]  # (tau, kappa)
@@ -77,11 +75,11 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     needs the carpet, which `classify` is not given here) and Class 0
     once it is empty: `classify` tests PV first.
 
-    The result is a copy of C with the smaller PV, made without running
-    the constructor again: its checks on C still hold, since the letters
-    stay integers in 1..N, entry pairs stay non-reflexive, PH and PV stay
-    disjoint, and the entry set only shrinks, so no entry pair can become
-    the transpose of another.
+    The result is C with the smaller PV, made by `_replace`, which skips
+    the checks of `CrossAutomaton.__new__`: its checks on C still hold,
+    since the letters stay integers in 1..N, entry pairs stay
+    non-reflexive, PH and PV stay disjoint, and the entry set only
+    shrinks, so no entry pair can become the transpose of another.
     """
     if cls is None:
         cls = classify(C)
@@ -92,8 +90,7 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     if not candidates:
         raise InternalError("acyclic nonempty PV must have a V-maximal edge target")
     kappa, tau = candidates[0]
-    after = copy.copy(C)
-    object.__setattr__(after, "PV", C.PV - {(tau, kappa)})
+    after = C._replace(PV=C.PV - {(tau, kappa)})
     if any(i == kappa or j == kappa for i, j in after.PV):
         raise InternalError("deleted target must be V-isolated afterwards")
     if after.PV:
@@ -103,8 +100,7 @@ def one_step(C: CrossAutomaton, cls: Classification | None = None) -> Simplifica
     return SimplificationStep(C, after, (tau, kappa), (cls.top, cls.bottom), after_cls)
 
 
-@dataclass(frozen=True)
-class SimplificationChain:
+class SimplificationChain(NamedTuple):
     stages: tuple[CrossAutomaton, ...]
     steps: tuple[SimplificationStep, ...]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalError
 
@@ -36,15 +36,13 @@ def check_letters(letters, where: str) -> None:
             raise ValueError(f"letter {a} below 1 in {where}")
 
 
-@dataclass(frozen=True, init=False)
-class PeriodicWord:
+class PeriodicWord(namedtuple("PeriodicWord", "preperiod period")):
     """An eventually periodic infinite word ``preperiod . period^inf``,
-    whose constructor sets each field once, in canonical form."""
+    whose constructor builds it in canonical form."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, preperiod, period):
+    def __new__(cls, preperiod, period):
         pre = tuple(preperiod)
         per = tuple(period)
         if not per:
@@ -55,8 +53,7 @@ class PeriodicWord:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        return super().__new__(cls, pre, per)
 
     @classmethod
     def constant(cls, letter: int) -> "PeriodicWord":

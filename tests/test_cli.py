@@ -632,7 +632,7 @@ def test_a_closed_stdout_is_an_input_error(carpet_file, buffered):
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     for argv in (["analyze", carpet_file], ["simplify", carpet_file],
-                 ["automaton", carpet_file, "--format", "dot"]):
+                 ["automaton", carpet_file, "--format", "dot"], ["selftest"]):
         proc = subprocess.Popen([sys.executable, "-m", "carpetauto", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         proc.stdout.close()
@@ -675,6 +675,16 @@ def test_the_cli_loads_no_numpy(carpet_file):
                 if line.startswith("import time:")]
     assert "carpetauto.cli" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+def test_the_cli_loads_no_dataclasses():
+    """Records are named tuples: a fresh interpreter that imports the CLI
+    loads neither dataclasses nor the inspect module it pulls in."""
+    code = ("import sys, carpetauto.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 
 
 json_leaf = st.one_of(

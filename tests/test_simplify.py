@@ -150,9 +150,9 @@ def test_a_chain_builds_no_stage_through_the_constructor(monkeypatch):
     runs the constructor's checks again."""
     C = carpet_cross(TOP_ISOLATED_11)
     runs = []
-    post_init = CrossAutomaton.__post_init__
-    monkeypatch.setattr(CrossAutomaton, "__post_init__",
-                        lambda self: runs.append(self) or post_init(self))
+    new = CrossAutomaton.__new__
+    monkeypatch.setattr(CrossAutomaton, "__new__",
+                        lambda cls, *fields: runs.append(fields) or new(cls, *fields))
     chain = final_chain(C)
     assert len(chain.steps) >= 2 and runs == []
     CrossAutomaton(C.alphabet_size, C.PH, C.PV, C.Pe1, C.Pe2)

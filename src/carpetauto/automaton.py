@@ -30,6 +30,7 @@ _OFFSET_NAMES = {
     (-1, 1): "-e1+e2",
 }
 _NAME_OFFSETS = {v: k for k, v in _OFFSET_NAMES.items()}
+_STATE_NAMES = frozenset({ID, EXIT, *_NAME_OFFSETS})
 
 
 def neg(state):
@@ -134,12 +135,18 @@ class SigmaAutomaton(namedtuple("SigmaAutomaton", "alphabet_size states delta"))
 
     def __new__(cls, alphabet_size, states, delta):
         N = alphabet_size
+        if type(N) is not int:  # a bool or 2.0 is no alphabet size
+            raise AutomatonError(f"alphabet size {N!r} is not an integer")
         if N < 1:
             raise AutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
             raise AutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
         if ID not in states or EXIT not in states:
             raise AutomatonError("the states must include Id and Exit")
+        unknown = sorted(name for name in map(_shown_state, states) if name not in _STATE_NAMES)
+        if unknown:
+            raise AutomatonError(f"unknown state {unknown[0]}: a state is Id, Exit "
+                                 "or one of the eight unit offsets")
         for (s, i, j), t in delta.items():
             if s == EXIT or s not in states or t not in states:
                 raise AutomatonError(f"transition ({_shown_state(s)}, {i}, {j}) -> "

@@ -38,6 +38,8 @@ class CarpetSpec(namedtuple("CarpetSpec", "n m digits hratios vratios")):
     __slots__ = ()
 
     def __new__(cls, n, m, digits, hratios=None, vratios=None):
+        if not type(n) is type(m) is int:  # a bool or 2.5 is no division count
+            raise CarpetError(f"division counts {n!r}, {m!r} are not integers")
         if n < 2 or m < 2:
             raise CarpetError("division counts must be at least 2")
         if max(n, m) > MAX_LETTER:

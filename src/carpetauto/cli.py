@@ -40,10 +40,6 @@ from .carpet import (
 )
 from .cross import CrossAutomaton
 from .errors import InternalError
-from .geometry import render_svg
-from .gmap import GContext, OmegaWord, g_apply, h_apply, m_decompose, m_prime_decompose
-from .metric import holder_scale, rho
-from .simplify import final_chain
 from .words import parse_word
 
 INPUT_ERROR = 3
@@ -133,13 +129,7 @@ def cmd_analyze(args):
     except cross_mod.DiagonalStatePresent:
         report["class"] = {"kind": "NotCross", "reason": "diagonal offset state reachable"}
     else:
-        cls = cross_mod.classify(C, origin=spec)
-        report["class"] = {
-            "kind": cls.kind,
-            "top": cls.top,
-            "bottom": cls.bottom,
-            "reason": cls.reason,
-        }
+        report["class"] = cross_mod.classify(C, origin=spec)._asdict()
     _emit(json.dumps(report, indent=2), args.out)
     return 0
 
@@ -154,6 +144,8 @@ def cmd_automaton(args):
 
 
 def cmd_simplify(args):
+    from .simplify import final_chain
+
     source = _load(args.source)
     if isinstance(source, CrossAutomaton):
         C = source
@@ -175,6 +167,8 @@ def cmd_equiv(args):
 
 
 def cmd_survive(args):
+    from .metric import holder_scale, rho
+
     source = _load(args.source)
     M = _sigma(source)
     x, y = parse_word(args.x), parse_word(args.y)
@@ -201,6 +195,8 @@ def cmd_survive(args):
 
 
 def cmd_gmap(args):
+    from .gmap import GContext, OmegaWord, g_apply, h_apply, m_decompose, m_prime_decompose
+
     try:
         gamma, lam, kappa, tau = (int(a) for a in args.ctx.split(","))
         ctx = GContext(gamma, lam, kappa, tau)
@@ -228,6 +224,8 @@ def cmd_gmap(args):
 
 
 def cmd_render(args):
+    from .geometry import render_svg
+
     spec = parse_carpet(_read(args.carpet))
     _emit(render_svg(spec, args.depth, size=args.size), args.out)
     return 0
@@ -295,6 +293,8 @@ def _selftest_feasibility(rng) -> bool:
 
 def _selftest_gmap() -> bool:
     from itertools import product
+
+    from .gmap import GContext, OmegaWord, g_apply, h_apply
 
     ctx = GContext(1, 2, 3, 4)
     for length in range(0, 5):

@@ -62,6 +62,8 @@ class CrossAutomaton(namedtuple("CrossAutomaton", "alphabet_size PH PV Pe1 Pe2")
         # a frozenset argument is kept, not copied
         PH, PV, Pe1, Pe2 = relations = [frozenset(r) for r in (PH, PV, Pe1, Pe2)]
         N = alphabet_size
+        if type(N) is not int:  # a bool or 2.5 is no alphabet size
+            raise CrossAutomatonError(f"alphabet size {N!r} is not an integer")
         if N < 1:
             raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
         if N > MAX_LETTER:
@@ -187,11 +189,16 @@ def decide_triple_coding_free(C: CrossAutomaton):
     return search_triples(C.transition_table(), lambda js: ID not in js, lasso=True)
 
 
-def validate(C: CrossAutomaton):
-    """All Def-of-cross axioms; raises CrossAutomatonError on failure."""
+def require_matchings(C: CrossAutomaton):
+    """Raise CrossAutomatonError unless every relation is a partial matching."""
     problems = check_uniqueness(C)
     if problems:
         raise CrossAutomatonError(f"uniqueness violated: {problems}")
+
+
+def validate(C: CrossAutomaton):
+    """All Def-of-cross axioms; raises CrossAutomatonError on failure."""
+    require_matchings(C)
     ok, witness = decide_triple_coding_free(C)
     if not ok:
         raise CrossAutomatonError(f"triple coding present, witness {witness}")

@@ -12,9 +12,8 @@ from typing import NamedTuple
 from .cross import (
     Classification,
     CrossAutomaton,
-    CrossAutomatonError,
-    check_uniqueness,
     classify,
+    require_matchings,
     validate,
 )
 from .errors import InternalError
@@ -141,9 +140,7 @@ def final_chain(C: CrossAutomaton, validate_stages: bool = True) -> Simplificati
     if validate_stages:
         validate(C)
     else:
-        problems = check_uniqueness(C)
-        if problems:
-            raise CrossAutomatonError(f"uniqueness violated: {problems}")
+        require_matchings(C)
     stages = [C]
     steps = []
     cur, cur_cls = C, cls

@@ -424,6 +424,16 @@ def test_refusals_name_states_as_the_json_does():
         SigmaAutomaton(2, states, {**loops, ((1, 0), 1, 3): ID})
 
 
+def test_a_state_outside_the_ten_is_refused_by_name():
+    loops = {(ID, 1, 1): ID}
+    for state, shown in (("junk", "'junk'"), ((2, 0), r"\(2, 0\)"), ("e1", "'e1'")):
+        with pytest.raises(AutomatonError, match=f"^unknown state {shown}: "):
+            to_json(SigmaAutomaton(1, frozenset({ID, EXIT, state}), loops))
+    units = {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+    every = frozenset({ID, EXIT, *units})
+    assert SigmaAutomaton(1, every, loops).states == every
+
+
 def graph_moves(edges):
     """moves() of a hand-built graph given as state -> [(move, next state)]."""
     return lambda state: edges.get(state, [])

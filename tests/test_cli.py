@@ -679,12 +679,46 @@ def test_the_cli_loads_no_numpy(carpet_file):
 
 def test_the_cli_loads_no_dataclasses():
     """Records are named tuples: a fresh interpreter that imports the CLI
-    loads neither dataclasses nor the inspect module it pulls in."""
-    code = ("import sys, carpetauto.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    loads neither dataclasses nor the inspect module it pulls in.  Nor does
+    it load numpy or the modules that only some subcommands run."""
+    unused = ("dataclasses", "inspect", "numpy",
+              "carpetauto.geometry", "carpetauto.gmap", "carpetauto.metric")
+    code = f"import sys, carpetauto.cli; print(sorted(m for m in {unused} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+
+
+def test_the_package_exports_each_name_from_its_module(tmp_path):
+    """Every exported name resolves on first use to its module's object;
+    the exported `classify` stays the function cross.classify, not the
+    submodule of the same name, after every subcommand that loads more."""
+    import carpetauto
+
+    assert len(carpetauto.__all__) == 31
+    for name in carpetauto.__all__:
+        module = importlib.import_module(f"carpetauto.{carpetauto._MODULE_OF[name]}")
+        value = getattr(carpetauto, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        carpetauto.no_such_name
+    carpet = tmp_path / "carpet.txt"
+    carpet.write_text(SQUARE_TOP_5.to_grid())
+    out = str(tmp_path / "out")
+    runs = [["equiv", str(carpet), str(carpet)], ["simplify", str(carpet)],
+            ["gmap", "--ctx", "1,2,3,4", "5.1(3)"], ["survive", str(carpet), "(1)", "(3)"]]
+    code = (f"import carpetauto, carpetauto.cli\n"
+            f"assert carpetauto.classify is carpetauto.cross.classify\n"
+            f"for argv in {runs!r}:\n"
+            f"    assert carpetauto.cli.run(argv + ['--out', {out!r}]) == 0, argv\n"
+            f"    from carpetauto import classify\n"
+            f"    assert classify is carpetauto.cross.classify, argv\n"
+            f"import carpetauto.classify as m\n"
+            f"assert m is carpetauto.cross.classify\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 json_leaf = st.one_of(

@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from carpetauto.automaton import EXIT, ID, SigmaAutomaton, build_topology_automaton
-from carpetauto.carpet import CarpetSpec, ConditionReport, HBlock, HBlockProfile
+from carpetauto.automaton import AutomatonError
+from carpetauto.carpet import CarpetError, CarpetSpec, ConditionReport, HBlock, HBlockProfile
 from carpetauto.classify import EquivalenceVerdict, HypothesisRecord, LetterBijection
-from carpetauto.cross import Classification, CrossAutomaton, from_topology_automaton
+from carpetauto.cross import (
+    Classification,
+    CrossAutomaton,
+    CrossAutomatonError,
+    from_topology_automaton,
+)
 from carpetauto.geometry import IntersectionOracle
 from carpetauto.gmap import GContext, OmegaWord, g_apply
 from carpetauto.metric import HolderScale, ProjectionRecord, ProjectionReport, PseudoDistance
@@ -134,3 +140,17 @@ def test_each_trusted_path_builds_what_its_constructor_builds():
         y = g_apply(ctx, OmegaWord(stem, 3))
         checked = OmegaWord(y.stem, y.kappa)
         assert y.stem != stem and type(y) is type(checked) and y == checked
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, True, "3"])
+def test_a_size_that_is_not_an_int_is_refused_by_its_own_error(size):
+    """A float, a bool or a string as n, m or N is refused before any
+    comparison or loop over it could raise a TypeError."""
+    digits = [(0, 0), (1, 1)]
+    for make in (lambda: CarpetSpec(size, 3, digits), lambda: CarpetSpec(3, size, digits)):
+        with pytest.raises(CarpetError, match="not integers"):
+            make().to_grid()
+    with pytest.raises(AutomatonError, match="is not an integer"):
+        SigmaAutomaton(size, frozenset({ID, EXIT}), {(ID, 1, 1): ID})
+    with pytest.raises(CrossAutomatonError, match="is not an integer"):
+        CrossAutomaton(size, (), (), (), ()).transition_table()

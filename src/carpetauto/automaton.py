@@ -19,18 +19,14 @@ from .words import PeriodicWord
 ID = "Id"
 EXIT = "Exit"
 
-_OFFSET_NAMES = {
-    (1, 0): "e1",
-    (-1, 0): "-e1",
-    (0, 1): "e2",
-    (0, -1): "-e2",
-    (1, 1): "e1+e2",
-    (-1, -1): "-e1-e2",
-    (1, -1): "e1-e2",
-    (-1, 1): "-e1+e2",
-}
-_NAME_OFFSETS = {v: k for k, v in _OFFSET_NAMES.items()}
-_STATE_NAMES = frozenset({ID, EXIT, *_NAME_OFFSETS})
+# The ten states by their JSON names, in report order: Id, the eight unit
+# offsets by name, then Exit.  Names, ranks and the state order read it.
+STATES = {ID: ID,
+          "-e1": (-1, 0), "-e1+e2": (-1, 1), "-e1-e2": (-1, -1), "-e2": (0, -1),
+          "e1": (1, 0), "e1+e2": (1, 1), "e1-e2": (1, -1), "e2": (0, 1),
+          EXIT: EXIT}
+STATE_NAME = {state: name for name, state in STATES.items()}
+STATE_RANK = {state: rank for rank, state in enumerate(STATES.values())}
 
 
 def neg(state):
@@ -41,32 +37,28 @@ def neg(state):
 
 
 def state_name(state) -> str:
-    if state in (ID, EXIT):
-        return state
-    return _OFFSET_NAMES[state]
+    return STATE_NAME[state]
 
 
 def _shown_state(state) -> str:
     """The state's name as the JSON form writes it, or its repr when it
     has none; for messages about states that may be malformed."""
     try:
-        return state_name(state)
+        return STATE_NAME[state]
     except (KeyError, TypeError):  # TypeError: an unhashable state
         return repr(state)
 
 
 def state_from_name(name: str):
-    if name in (ID, EXIT):
-        return name
     try:
-        return _NAME_OFFSETS[name]
+        return STATES[name]
     except KeyError:
         raise ValueError(f"unknown state name {name!r}") from None
 
 
-def order_key(state):
-    """Deterministic state order: Id first, offsets by name, Exit last."""
-    return (0, "") if state == ID else (2, "") if state == EXIT else (1, state_name(state))
+def order_key(state) -> int:
+    """Deterministic state order: the state's rank in `STATES`."""
+    return STATE_RANK[state]
 
 
 INFINITE = math.inf
@@ -84,6 +76,16 @@ class AutomatonError(ValueError):
 # bound keeps a few bytes of input such as {"N": 100000000} from starting
 # a loop over every letter or row.
 MAX_LETTER = 255
+
+
+def check_alphabet_size(N, error: type[ValueError]) -> None:
+    """Raise `error` unless the alphabet size N is an int in 1..MAX_LETTER."""
+    if type(N) is not int:  # a bool or 2.0 is no alphabet size
+        raise error(f"alphabet size {N!r} is not an integer")
+    if N < 1:
+        raise error(f"alphabet of N = {N} letters: N must be at least 1")
+    if N > MAX_LETTER:
+        raise error(f"alphabet of {N} letters exceeds {MAX_LETTER}")
 
 
 def json_int(value) -> int:
@@ -110,7 +112,7 @@ def json_field(data: dict, name: str, parse, error: type[ValueError], kind: str)
         raise error(f"{kind} JSON lacks the field {name!r}")
     try:
         return parse(data[name])
-    except (AttributeError, TypeError, ValueError, IndexError, ArithmeticError) as e:
+    except (AttributeError, TypeError, ValueError, LookupError, ArithmeticError) as e:
         raise error(f"malformed {kind} JSON field {name!r}: {e}") from e
 
 
@@ -135,15 +137,10 @@ class SigmaAutomaton(namedtuple("SigmaAutomaton", "alphabet_size states delta"))
 
     def __new__(cls, alphabet_size, states, delta):
         N = alphabet_size
-        if type(N) is not int:  # a bool or 2.0 is no alphabet size
-            raise AutomatonError(f"alphabet size {N!r} is not an integer")
-        if N < 1:
-            raise AutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
-        if N > MAX_LETTER:
-            raise AutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
+        check_alphabet_size(N, AutomatonError)
         if ID not in states or EXIT not in states:
             raise AutomatonError("the states must include Id and Exit")
-        unknown = sorted(name for name in map(_shown_state, states) if name not in _STATE_NAMES)
+        unknown = sorted(name for name in map(_shown_state, states) if name not in STATES)
         if unknown:
             raise AutomatonError(f"unknown state {unknown[0]}: a state is Id, Exit "
                                  "or one of the eight unit offsets")
@@ -418,32 +415,22 @@ def random_word(rng, N: int) -> PeriodicWord:
     return PeriodicWord(pre, per)
 
 
-def state_tables(M: SigmaAutomaton):
-    """Every state's name, keyed in `order_key` order, and its rank in
-    that order: built once per automaton, not once per transition."""
-    states = sorted(M.states, key=order_key)
-    return {s: state_name(s) for s in states}, {s: r for r, s in enumerate(states)}
-
-
-def _ordered_delta(M: SigmaAutomaton, rank: dict):
-    """The transitions by source state in `order_key` order, then letters."""
-    return sorted(M.delta.items(), key=lambda kv: (rank[kv[0][0]], kv[0][1:]))
+def _ordered_delta(M: SigmaAutomaton):
+    """The transitions by source state in `STATES` order, then letters."""
+    return sorted(M.delta.items(), key=lambda kv: (STATE_RANK[kv[0][0]], kv[0][1:]))
 
 
 def to_dot(M: SigmaAutomaton) -> str:
     """Graphviz rendering without Exit, in deterministic node and edge order."""
-    name, rank = state_tables(M)
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
-    for s, label in name.items():
-        if s == EXIT:
-            continue
-        shape = ' shape=doublecircle' if s == ID else ""
-        lines.append(f'  "{label}" [label="{label}"{shape}];')
+    for name, s in STATES.items():
+        if s in M.states and s != EXIT:
+            shape = ' shape=doublecircle' if s == ID else ""
+            lines.append(f'  "{name}" [label="{name}"{shape}];')
     edges = {}
-    for (s, i, j), t in _ordered_delta(M, rank):
-        if t == EXIT:
-            continue
-        edges.setdefault((name[s], name[t]), []).append(f"{i},{j}")
+    for (s, i, j), t in _ordered_delta(M):
+        if t != EXIT:
+            edges.setdefault((STATE_NAME[s], STATE_NAME[t]), []).append(f"{i},{j}")
     for (src, dst), labels in sorted(edges.items()):
         lines.append(f'  "{src}" -> "{dst}" [label="{" | ".join(labels)}"];')
     lines.append("}")
@@ -451,9 +438,9 @@ def to_dot(M: SigmaAutomaton) -> str:
 
 
 def to_json(M: SigmaAutomaton) -> str:
-    name, rank = state_tables(M)
-    delta = {f"{name[s]}|{i},{j}": name[t] for (s, i, j), t in _ordered_delta(M, rank)}
-    return json.dumps({"N": M.alphabet_size, "states": list(name.values()), "delta": delta})
+    states = [name for name, s in STATES.items() if s in M.states]
+    delta = {f"{STATE_NAME[s]}|{i},{j}": STATE_NAME[t] for (s, i, j), t in _ordered_delta(M)}
+    return json.dumps({"N": M.alphabet_size, "states": states, "delta": delta})
 
 
 def from_json(text: str) -> SigmaAutomaton:

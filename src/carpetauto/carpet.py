@@ -44,7 +44,10 @@ class CarpetSpec(namedtuple("CarpetSpec", "n m digits hratios vratios")):
             raise CarpetError("division counts must be at least 2")
         if max(n, m) > MAX_LETTER:
             raise CarpetError(f"division counts must be at most {MAX_LETTER}")
-        digits = tuple((a, b) for a, b in digits)
+        try:
+            digits = tuple((a, b) for a, b in digits)
+        except (TypeError, ValueError) as e:  # not iterable, or not pairs
+            raise CarpetError(f"digits must be (column, row) pairs: {e}") from e
         for a, b in digits:  # a bool, 0.7 or '3' is no digit; sorting would compare '3' with 1
             if not type(a) is type(b) is int:
                 raise CarpetError(f"digit {(a, b)!r} is not a pair of integers")
@@ -61,7 +64,10 @@ class CarpetSpec(namedtuple("CarpetSpec", "n m digits hratios vratios")):
         checked = []
         for name, ratios, count in (("hratios", hratios, n), ("vratios", vratios, m)):
             if ratios is not None:
-                ratios = tuple(Fraction(r) for r in ratios)
+                try:
+                    ratios = tuple(Fraction(r) for r in ratios)
+                except (TypeError, ValueError, ArithmeticError) as e:
+                    raise CarpetError(f"{name} entries must be rationals: {e}") from e
                 if len(ratios) != count:
                     raise CarpetError(f"{name} must have {count} entries")
                 if any(r <= 0 for r in ratios):
@@ -132,7 +138,7 @@ def carpet_from_dict(data: dict) -> CarpetSpec:
 
     n = field("n", json_int)
     m = field("m", json_int)
-    digits = field("digits", lambda ds: tuple((json_int(d[0]), json_int(d[1])) for d in ds))
+    digits = field("digits", lambda ds: tuple((json_int(a), json_int(b)) for a, b in ds))
     hratios = field("hratios", _ratios) if "hratios" in data else None
     vratios = field("vratios", _ratios) if "vratios" in data else None
     return CarpetSpec(n, m, digits, hratios, vratios)

@@ -233,21 +233,23 @@ def cmd_render(args):
 
 def cmd_selftest(args):
     rng = random.Random(args.seed)
-    failures = []
+    lines, failures = [], []
 
     def check(name, ok):
-        _emit(f"{'PASS' if ok else 'FAIL'} {name}", None)
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
             failures.append(name)
 
     check("oracle-agreement", _selftest_oracles(rng))
-    check("feasibility", _selftest_feasibility(rng))
+    check("feasibility", _selftest_feasibility(rng, lines.append))
     check("gmap-bijection", _selftest_gmap())
     check("round-trips", _selftest_roundtrips())
+    if not failures:
+        lines.append("all selftests passed")
+    _emit("\n".join(lines), args.out)
     if failures:
         print(f"{len(failures)} selftest failure(s)", file=sys.stderr)
         return 1
-    _emit("all selftests passed", None)
     return 0
 
 
@@ -278,15 +280,15 @@ def _selftest_oracles(rng) -> bool:
     return True
 
 
-def _selftest_feasibility(rng) -> bool:
-    """Decide feasibility at t0 = 1 on 5 random carpets; print a witness."""
+def _selftest_feasibility(rng, say) -> bool:
+    """Decide feasibility at t0 = 1 on 5 random carpets; pass a witness to `say`."""
     for _ in range(5):
         spec = random_carpet(rng)
         ok, witness = automaton_mod.decide_feasibility(build_topology_automaton(spec), 1)
         if not ok:
             x, y, z = witness
-            _emit(f"carpet\n{spec.to_grid()}\n"
-                  f"violates feasibility at t0 = 1 with x={x} y={y} z={z}", None)
+            say(f"carpet\n{spec.to_grid()}\n"
+                f"violates feasibility at t0 = 1 with x={x} y={y} z={z}")
             return False
     return True
 

@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .automaton import (
     EXIT,
     ID,
-    MAX_LETTER,
     SigmaAutomaton,
+    check_alphabet_size,
     infinite_core,
     json_decode,
     json_field,
@@ -62,12 +62,7 @@ class CrossAutomaton(namedtuple("CrossAutomaton", "alphabet_size PH PV Pe1 Pe2")
         # a frozenset argument is kept, not copied
         PH, PV, Pe1, Pe2 = relations = [frozenset(r) for r in (PH, PV, Pe1, Pe2)]
         N = alphabet_size
-        if type(N) is not int:  # a bool or 2.5 is no alphabet size
-            raise CrossAutomatonError(f"alphabet size {N!r} is not an integer")
-        if N < 1:
-            raise CrossAutomatonError(f"alphabet of N = {N} letters: N must be at least 1")
-        if N > MAX_LETTER:
-            raise CrossAutomatonError(f"alphabet of {N} letters exceeds {MAX_LETTER}")
+        check_alphabet_size(N, CrossAutomatonError)
         for name, rel in zip(RELATION_MOVES, relations):  # PH, PV, Pe1, Pe2
             for i, j in rel:
                 if not type(i) is type(j) is int:  # a bool, 1.9 or '3' is no letter
@@ -113,13 +108,8 @@ class CrossAutomaton(namedtuple("CrossAutomaton", "alphabet_size PH PV Pe1 Pe2")
         return SigmaAutomaton(self.alphabet_size, states, self.transition_table())
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.alphabet_size,
-            "PH": [list(p) for p in sorted(self.PH)],
-            "PV": [list(p) for p in sorted(self.PV)],
-            "Pe1": [list(p) for p in sorted(self.Pe1)],
-            "Pe2": [list(p) for p in sorted(self.Pe2)],
-        }
+        return {"N": self.alphabet_size,
+                **{name: [list(p) for p in sorted(getattr(self, name))] for name in RELATION_MOVES}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -233,8 +223,8 @@ def classify(C: CrossAutomaton, origin=None) -> Classification:
     possible answer is Class 2.
 
     Every test reads the four relations directly, the two-step exit test
-    on (λλ, t1 t2) included: no induced automaton is built, so the
-    per-stage check of a simplification chain stays cheap.
+    on (λλ, t1 t2) included: no induced automaton is built, so a class
+    costs one pass over the relations.
 
     Class 1 asks the carpet for cross intersection, no vertical
     separation and an isolated single top cell.  Where the last test

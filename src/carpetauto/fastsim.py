@@ -18,21 +18,20 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .automaton import EXIT, ID, SigmaAutomaton, state_tables
+from .automaton import EXIT, ID, STATE_RANK, SigmaAutomaton
 
 INF = np.int64(10**9)
 
 
 def transition_table(M: SigmaAutomaton):
-    """delta as an array tab[state, i, j] of `state_tables` ranks; Exit absorbs."""
-    _, index = state_tables(M)
+    """delta as an array tab[state, i, j] of `STATE_RANK` ranks, a row for
+    each of the ten states; Exit absorbs, as no transition leaves Exit."""
     N = M.alphabet_size
-    exit_idx = index[EXIT]
-    tab = np.full((len(index), N + 1, N + 1), exit_idx, dtype=np.uint8)
+    exit_idx = STATE_RANK[EXIT]
+    tab = np.full((len(STATE_RANK), N + 1, N + 1), exit_idx, dtype=np.uint8)
     for (s, i, j), t in M.delta.items():
-        tab[index[s], i, j] = index[t]
-    tab[exit_idx, :, :] = exit_idx
-    return tab, index[ID], exit_idx
+        tab[STATE_RANK[s], i, j] = STATE_RANK[t]
+    return tab, STATE_RANK[ID], exit_idx
 
 
 def stems_to_array(stems, tails, steps: int, N: int):

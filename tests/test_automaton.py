@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from carpetauto import automaton
 from carpetauto.automaton import (
     EXIT,
     ID,
@@ -17,6 +19,7 @@ from carpetauto.automaton import (
     is_infinite,
     mirror_check,
     neg,
+    order_key,
     random_word,
     state_from_name,
     state_name,
@@ -26,6 +29,7 @@ from carpetauto.automaton import (
 )
 from carpetauto.carpet import CarpetError, CarpetSpec
 from carpetauto.cli import random_carpet
+from carpetauto.cross import DiagonalStatePresent, from_topology_automaton
 from carpetauto.fastsim import check_feasibility_matrix, time_matrix
 from carpetauto.geometry import build_oracle, chain_survivors
 from carpetauto.words import PeriodicWord, parse_word
@@ -340,6 +344,84 @@ def test_dot_output_is_deterministic():
     assert a == b
     assert a.startswith("digraph")
     assert "Exit" not in a
+
+
+# The state names and writers as they were before the one table `STATES`,
+# kept as the reference that the table reproduces.
+FORMER_NAMES = {(1, 0): "e1", (-1, 0): "-e1", (0, 1): "e2", (0, -1): "-e2",
+                (1, 1): "e1+e2", (-1, -1): "-e1-e2", (1, -1): "e1-e2", (-1, 1): "-e1+e2"}
+
+
+def former_name(state):
+    return state if state in (ID, EXIT) else FORMER_NAMES[state]
+
+
+def former_order_key(state):
+    return (0, "") if state == ID else (2, "") if state == EXIT else (1, former_name(state))
+
+
+def former_tables(M):
+    states = sorted(M.states, key=former_order_key)
+    return {s: former_name(s) for s in states}, {s: r for r, s in enumerate(states)}
+
+
+def former_to_dot(M):
+    name, rank = former_tables(M)
+    lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
+    for s, label in name.items():
+        if s == EXIT:
+            continue
+        shape = ' shape=doublecircle' if s == ID else ""
+        lines.append(f'  "{label}" [label="{label}"{shape}];')
+    edges = {}
+    for (s, i, j), t in sorted(M.delta.items(), key=lambda kv: (rank[kv[0][0]], kv[0][1:])):
+        if t == EXIT:
+            continue
+        edges.setdefault((name[s], name[t]), []).append(f"{i},{j}")
+    for (src, dst), labels in sorted(edges.items()):
+        lines.append(f'  "{src}" -> "{dst}" [label="{" | ".join(labels)}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def former_to_json(M):
+    name, rank = former_tables(M)
+    ordered = sorted(M.delta.items(), key=lambda kv: (rank[kv[0][0]], kv[0][1:]))
+    delta = {f"{name[s]}|{i},{j}": name[t] for (s, i, j), t in ordered}
+    return json.dumps({"N": M.alphabet_size, "states": list(name.values()), "delta": delta})
+
+
+def test_the_state_table_lists_the_ten_states_by_name_in_the_former_order():
+    states = automaton.STATES
+    assert list(states) == [former_name(s) for s in sorted(states.values(), key=former_order_key)]
+    assert all(automaton.STATE_NAME[s] == name for name, s in states.items())
+    assert [automaton.STATE_RANK[s] for s in states.values()] == list(range(10))
+
+
+def test_order_key_sorts_every_subset_of_the_ten_states_as_before():
+    states = [ID, EXIT, *FORMER_NAMES]
+    assert all(state_name(s) == former_name(s) for s in states)
+    for mask in range(1 << len(states)):
+        subset = [s for k, s in enumerate(states) if mask >> k & 1]
+        random.Random(mask).shuffle(subset)
+        assert sorted(subset, key=order_key) == sorted(subset, key=former_order_key), subset
+
+
+def test_the_writers_match_the_former_writers_on_seeded_automata():
+    rng = random.Random(20261021)
+    automata = []
+    for _ in range(300):
+        M = build_topology_automaton(random_carpet(rng))
+        automata.append(M)
+        try:
+            automata.append(from_topology_automaton(M).induced_automaton())
+        except DiagonalStatePresent:
+            pass
+    automata += [CARPET_8.induced_automaton(), EXTENDED_9.induced_automaton()]
+    assert len({M.states for M in automata}) > 10
+    for M in automata:
+        assert to_json(M) == former_to_json(M)
+        assert to_dot(M) == former_to_dot(M)
 
 
 def reference_automaton(spec) -> SigmaAutomaton:

@@ -229,6 +229,18 @@ def test_the_package_has_no_assert_statement():
     assert len(list(package.glob("*.py"))) > 10 and found == []
 
 
+def test_every_module_parses_at_the_declared_python_floor():
+    """pyproject.toml declares Python >= 3.10: no module uses a newer
+    grammar, as far as ast's feature_version can tell."""
+    root = Path(__file__).resolve().parent.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    package = root / "src" / "carpetauto"
+    paths = sorted(package.glob("*.py"))
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    assert len(paths) > 10
+
+
 def test_malformed_automaton_json_is_rejected(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"states": ["Id"], "delta": {"Id|1,1": "Id"}}))
@@ -275,6 +287,8 @@ def test_malformed_carpet_json_is_rejected(tmp_path, capsys):
         ({"m": 3.0}, "field 'm': expected an integer"),
         ({"digits": [[0]]}, "field 'digits'"),
         ({"digits": [[0.7, 0], [1, 1.2], [True, 2]]}, "field 'digits': expected an integer"),
+        ({"digits": [[0, 0, 7], [1, 1]]}, "field 'digits': too many values"),
+        ({"digits": [{"a": 1}]}, "field 'digits': not enough values"),
     )
     for extra, message in cases:
         path.write_text(json.dumps({**base, **extra}))
@@ -595,6 +609,25 @@ def test_selftest_prints_the_feasibility_witness(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL feasibility" in out
     assert "x=1.5.5(1) y=1.9(1) z=2(1)" in out
+
+
+def test_selftest_out_writes_what_stdout_gets(monkeypatch, tmp_path, capsys):
+    """--out takes exactly the lines standard output gets without it, on a
+    pass and on a failure, and the exit codes stay 0 and 1."""
+    out = tmp_path / "selftest.txt"
+
+    def same_both_ways(code):
+        assert run(["selftest", "--seed", "7"]) == code
+        shown = capsys.readouterr()
+        assert run(["selftest", "--seed", "7", "--out", str(out)]) == code
+        written = capsys.readouterr()
+        assert written.out == "" and written.err == shown.err
+        assert out.read_text(encoding="utf-8") == shown.out
+        return shown.out
+
+    assert same_both_ways(0).endswith("all selftests passed\n")
+    monkeypatch.setattr(cli, "build_topology_automaton", lambda spec: EXTENDED_9.induced_automaton())
+    assert "FAIL feasibility" in same_both_ways(1)
 
 
 def test_console_script_entry_point(carpet_file):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from carpetauto import automaton
 from carpetauto.automaton import (
     EXIT,
     ID,
@@ -13,15 +14,19 @@ from carpetauto.automaton import (
     surviving_time,
 )
 from carpetauto.carpet import CarpetSpec, parse_carpet
+from carpetauto.cli import random_carpet
+from carpetauto.cross import DiagonalStatePresent, from_topology_automaton
 from carpetauto.fastsim import (
     INF,
     PAIR_BLOCK,
     check_feasibility_matrix,
     stems_to_array,
     time_matrix,
+    transition_table,
 )
 from carpetauto.words import PeriodicWord
 
+from conftest import CARPET_8, EXTENDED_9
 from test_acceptance import feasibility_violations
 
 
@@ -251,3 +256,49 @@ def test_check_feasibility_matrix_matches_a_triple_loop():
 
 def test_check_feasibility_matrix_of_an_empty_matrix():
     assert check_feasibility_matrix(np.zeros((0, 0), dtype=np.int64)) == 0
+
+
+def seeded_automata():
+    """Topology automata of seeded carpets, their induced cross automata
+    where they have one, and the two cross fixtures."""
+    rng = random.Random(20261021)
+    automata = [CARPET_8.induced_automaton(), EXTENDED_9.induced_automaton()]
+    for _ in range(40):
+        M = build_topology_automaton(random_carpet(rng))
+        automata.append(M)
+        try:
+            automata.append(from_topology_automaton(M).induced_automaton())
+        except DiagonalStatePresent:
+            pass
+    return automata
+
+
+def test_transition_table_agrees_with_step_cell_by_cell():
+    """Each state reached from Id has its own row, found by following the
+    table from the Id row, and each of its cells reads what M.step reads;
+    the Exit row reads Exit only."""
+    for M in seeded_automata():
+        tab, id_idx, exit_idx = transition_table(M)
+        row, reached = {ID: id_idx, EXIT: exit_idx}, [ID]
+        for s in reached:  # the list grows while it is read: a breadth-first search
+            for i in M.letters():
+                for j in M.letters():
+                    t, cell = M.step(s, i, j), int(tab[row[s], i, j])
+                    if t not in row:
+                        row[t] = cell
+                        reached.append(t)
+                    assert row[t] == cell, (s, i, j)
+        assert len(set(row.values())) == len(row)
+        assert (tab[exit_idx, 1:, 1:] == exit_idx).all()
+
+
+def test_transition_table_has_a_row_for_each_of_the_ten_states():
+    for M in seeded_automata():
+        tab, id_idx, exit_idx = transition_table(M)
+        N = M.alphabet_size
+        assert tab.shape == (10, N + 1, N + 1) and (id_idx, exit_idx) == (0, 9)
+        rank = automaton.STATE_RANK
+        for s in automaton.STATES.values():
+            for i in M.letters():
+                for j in M.letters():
+                    assert tab[rank[s], i, j] == rank[M.step(s, i, j)], (s, i, j)

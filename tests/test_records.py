@@ -154,3 +154,21 @@ def test_a_size_that_is_not_an_int_is_refused_by_its_own_error(size):
         SigmaAutomaton(size, frozenset({ID, EXIT}), {(ID, 1, 1): ID})
     with pytest.raises(CrossAutomatonError, match="is not an integer"):
         CrossAutomaton(size, (), (), (), ()).transition_table()
+
+
+@pytest.mark.parametrize("digits, ratios", [
+    (5, None),
+    ([(0, 0, 1)], None),
+    ([(0, 0)], [None, 1]),
+    ([(0, 0)], ["x", "y"]),
+    ([(0, 0)], ["1/0", 1]),
+    ([(0, 0)], 7),
+])
+def test_a_carpet_of_malformed_digits_or_ratios_is_refused_by_its_own_error(digits, ratios):
+    """Digits that are not pairs, and ratios that are not rationals, raise
+    CarpetError, like every other refusal of CarpetSpec."""
+    with pytest.raises(CarpetError):
+        CarpetSpec(2, 2, digits, hratios=ratios)
+    if ratios is not None:
+        with pytest.raises(CarpetError, match="vratios"):
+            CarpetSpec(2, 2, digits, vratios=ratios)

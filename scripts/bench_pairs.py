@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
     p.add_argument("--change-text", help="the record's 'change' field")
     p.add_argument("--protocol", help="the record's 'protocol' field")
     args = p.parse_args(argv)
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        p.error(f"--seconds must be finite and positive, not {args.seconds:g}")
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")).resolve()
     if workdir == ROOT or ROOT in workdir.parents:
         p.error(f"the work directory {workdir} lies inside the repository")

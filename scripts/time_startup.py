@@ -66,11 +66,13 @@ def timings(srcs, rounds: int = ROUNDS) -> dict:
     return times
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("srcs", nargs="*", default=[str(ROOT / "src")], metavar="SRC")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, not {args.rounds}")
     print(f"import carpetauto.cli, {args.rounds} interleaved rounds, ms")
     print(f"{'condition':<10}{'fastest':>10}{'median':>10}  src")
     for (src, cond), times in timings(args.srcs, args.rounds).items():

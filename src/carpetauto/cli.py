@@ -159,6 +159,8 @@ def cmd_simplify(args):
 def cmd_equiv(args):
     from .classify import decide_equivalence
 
+    if args.e == args.f == "-":
+        raise InputError("standard input can stand for only one carpet")
     E = parse_carpet(_read(args.e))
     F = parse_carpet(_read(args.f))
     verdict = decide_equivalence(E, F)
@@ -320,13 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later runs.
 
     Nothing mutates it after it is built: each parse fills a fresh
-    namespace.
+    namespace.  Its `commands` attribute is the subparsers action's own
+    map from each command name to the command's parser.
     """
     parser = argparse.ArgumentParser(
         prog="carpetauto",
         description="Topology automata of self-affine carpets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -369,9 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """The namespace `parser.parse_args(argv)` gives, in one pass over argv.
+
+    The subparsers action takes every string after the command name and
+    hands them to the command's parser, so a known command's parser
+    reads them here directly.  An unknown or missing command, or strings
+    that parser leaves over, go to the full parser, so that every usage
+    error and help text is its own.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except ValueError as e:

@@ -85,3 +85,20 @@ def test_a_series_without_seconds_runs_forty_seconds(tmp_path, monkeypatch):
                              "--workload", "simplify", "--seeds", "1",
                              "--workdir", str(tmp_path)]) == 0
     assert seen["seconds"] == 40 and type(seen["seconds"]) is int
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+def test_seconds_not_finite_and_positive_are_a_usage_error_before_any_unpack(seconds, tmp_path,
+                                                                          monkeypatch, capsys):
+    # 0 used to unpack both trees and fail in the first run; nan and inf never ended
+    unpacked = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: types.SimpleNamespace(stdout="abc1234\n"))
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: unpacked.append(rev) or dest)
+    monkeypatch.setattr(bench_pairs, "record_pairs", lambda *a: None)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "x", "--parent", "HEAD", "--change", "HEAD",
+                          "--workload", "simplify", "--seeds", "1", "--seconds", seconds,
+                          "--workdir", str(tmp_path)])
+    assert exc.value.code == 2 and unpacked == []
+    assert "--seconds must be finite and positive" in capsys.readouterr().err

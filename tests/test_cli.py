@@ -112,6 +112,19 @@ def test_equiv_is_inconclusive_when_an_automaton_reaches_a_diagonal_state(tmp_pa
     assert data["class"]["kind"] == "NotCross"
 
 
+@pytest.mark.parametrize("text", ['{"n":2,"m":2,"digits":[[0,0],[1,1]]}', "#.\n.#"])
+def test_equiv_refuses_stdin_for_both_carpets_before_reading_it(text, carpet_file, monkeypatch,
+                                                                capsys):
+    # both names used to read stdin, and F found it empty: "error: empty grid"
+    stdin = io.StringIO(text)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(["equiv", "-", "-"]) == 3
+    assert capsys.readouterr() == ("", "error: standard input can stand for only one carpet\n")
+    assert stdin.tell() == 0
+    assert run(["equiv", "-", carpet_file]) == 0
+    assert out_json(capsys)["status"]
+
+
 def test_survive_on_cross_automaton(cross_file, capsys):
     assert run(["survive", cross_file, "(1)", "(3)"]) == 0
     data = out_json(capsys)
@@ -594,6 +607,55 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+# valid calls, help, abbreviations, "--", "-" for stdin, bad choices and
+# values, missing and surplus arguments, unknown commands
+PARSE_CORPUS = (
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["--", "analyze", "c"], ["nosuch"],
+    ["analyz", "c"], ["-h", "analyze"],
+    ["analyze", "c"], ["analyze", "-"], ["analyze"], ["analyze", "-h"], ["analyze", "--he"],
+    ["analyze", "c", "--out", "o"], ["analyze", "--out=o", "c"], ["analyze", "c", "--ou", "o"],
+    ["analyze", "c", "--out"], ["analyze", "c", "--out", "a", "--out", "b"],
+    ["analyze", "--", "-c"], ["analyze", "c", "--"], ["analyze", "c", "extra"],
+    ["analyze", "c", "--bogus"], ["analyze", "c", "-o"], ["analyze", "c", "-h"],
+    ["automaton", "c"], ["automaton", "c", "--format", "dot"], ["automaton", "c", "--form", "dot"],
+    ["automaton", "--format=json", "c"], ["automaton", "c", "--format", "svg"],
+    ["automaton", "c", "--format"],
+    ["simplify", "c"], ["simplify"], ["simplify", "a", "b"],
+    ["equiv", "a", "b"], ["equiv", "-", "-"], ["equiv", "a"], ["equiv", "a", "b", "c"],
+    ["equiv", "a", "--", "-b"], ["equiv", "a", "b", "--out", "o", "c"],
+    ["survive", "c", "(1)", "(2)"], ["survive", "c", "--xi", "0.25", "(1)", "(2)"],
+    ["survive", "c", "(1)", "(2)", "--xi", "abc"], ["survive", "c", "(1)", "(2)", "--xi=-0.5"],
+    ["survive", "c", "(1)"], ["survive", "c", "-1", "(2)"],
+    ["gmap", "--ctx", "1,2,3,4", "1.2(3)"], ["gmap", "1.2(3)"], ["gmap", "--ctx=1,2,3,4", "(3)", "x"],
+    ["render", "c", "--depth", "2", "--size", "64"], ["render", "c", "--depth", "x"],
+    ["render", "c", "--dep", "2"], ["render", "c", "--size", "1.5"],
+    ["selftest"], ["selftest", "--seed", "7"], ["selftest", "--seed"], ["selftest", "7"],
+)
+
+
+def parse_outcome(parse, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of one parse."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            args, code = vars(parse(list(argv))), None
+        except SystemExit as e:
+            args, code = None, e.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def test_run_parses_every_command_line_as_the_full_parser_does(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line on every Python version
+    parser = build_parser()
+    for argv in PARSE_CORPUS:
+        ours = parse_outcome(lambda a: cli._parse(parser, a), argv)
+        assert ours == parse_outcome(parser.parse_args, argv), argv
+    assert parse_outcome(lambda a: cli._parse(parser, a), ["equiv", "a", "b", "c"])[1:3] == (
+        "",
+        "usage: carpetauto [-h] {analyze,automaton,simplify,equiv,survive,gmap,render,selftest}"
+        " ...\ncarpetauto: error: unrecognized arguments: c\n",
+    )
 
 
 def test_selftest_fast(capsys):

@@ -379,8 +379,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     The subparsers action takes every string after the command name and
     hands them to the command's parser, so a known command's parser
     reads them here directly.  An unknown or missing command, or strings
-    that parser leaves over, go to the full parser, so that every usage
-    error and help text is its own.
+    that parser leaves over, go to the full parser, so every usage error
+    and help text is the one the full parser prints.
     """
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
